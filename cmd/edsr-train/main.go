@@ -22,6 +22,11 @@
 // -trace writes a Chrome trace_event timeline (open in Perfetto);
 // -trace-jsonl the same spans as JSONL for hvprof-report -spans;
 // -metrics-addr serves Prometheus /metrics plus /debug/pprof live.
+// Every mode runs the same traced step loop (trainer.Session.RunSteps),
+// so the three flags also work with -state/-resume (resumable single-rank
+// runs) and -arch srcnn|srresnet|fsrcnn (the model zoo). -state,
+// -checkpoint with -ckpt-every, and -resume read and write one
+// training-state format; sr-serve loads any of them.
 package main
 
 import (
@@ -176,6 +181,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("trained %s (%d params): final L1 %.5f\n", res.Arch, res.Params, res.FinalLoss)
+		writeTrace()
 		if *evalN > 0 {
 			fmt.Printf("held-out PSNR: %s %.2f dB vs bicubic %.2f dB (Δ %+.2f dB)\n",
 				res.Arch, res.PSNR, res.PSNRBicubic, res.PSNR-res.PSNRBicubic)
@@ -204,8 +210,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		sess.Cfg.Log = os.Stdout
-		sess.Cfg.LogEvery = *logEvery
+		// The runtime-only fields are not part of a saved state.
+		sess.Cfg.Log, sess.Cfg.LogEvery = os.Stdout, *logEvery
+		sess.Cfg.Trace, sess.Cfg.Metrics = cfg.Trace, cfg.Metrics
 		loss, err := sess.RunSteps(*steps)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -213,6 +220,7 @@ func main() {
 		}
 		fmt.Printf("done: step %d, final L1 loss %.5f, %.1f images/sec\n",
 			sess.Step, loss, sess.ImagesPerSec())
+		writeTrace()
 		if *state != "" {
 			if err := sess.Save(*state); err != nil {
 				fmt.Fprintln(os.Stderr, err)

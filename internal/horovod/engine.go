@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/mpi"
-	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
@@ -22,11 +21,6 @@ type Config struct {
 	Average bool
 	// Algo selects the allreduce algorithm of the backend.
 	Algo mpi.AllreduceAlgo
-	// FP16Compression quantizes gradients through half precision before
-	// reduction (Horovod's fp16 compressor): the wire payload halves at
-	// the cost of 11-bit significands. Values are quantized on submit and
-	// after reduction, reproducing the numerics of an fp16 wire format.
-	FP16Compression bool
 	// AllreduceFn, when non-nil, replaces the backend sum-allreduce —
 	// gradient-compression variants, benchmarks, and instrumented test
 	// doubles plug in here. Algo is ignored when set. A returned error
@@ -294,18 +288,12 @@ func (e *Engine) reduceGroup(group []int) error {
 		}
 	}
 
-	if e.cfg.FP16Compression {
-		tensor.QuantizeHalf(buf)
-	}
 	if e.cfg.AllreduceFn != nil {
 		if err := e.cfg.AllreduceFn(e.comm, buf); err != nil {
 			return err
 		}
 	} else {
 		e.comm.AllreduceSum(buf, e.cfg.Algo)
-	}
-	if e.cfg.FP16Compression {
-		tensor.QuantizeHalf(buf)
 	}
 
 	if e.cfg.Average {

@@ -324,32 +324,3 @@ func TestEngineWithCycleTime(t *testing.T) {
 		e.Shutdown()
 	})
 }
-
-// TestEngineFP16Compression: reduced values carry fp16 quantization but
-// remain close to the exact average, and training-style repeated rounds
-// still work.
-func TestEngineFP16Compression(t *testing.T) {
-	w := mpi.NewWorld(2)
-	cfg := testConfig()
-	cfg.FP16Compression = true
-	w.Run(func(c *mpi.Comm) {
-		e := NewEngine(c, cfg)
-		buf := []float32{0.333333343, 100.0625, 1e-3}
-		for i := range buf {
-			buf[i] *= float32(c.Rank() + 1)
-		}
-		id := e.Register("g", buf)
-		e.Start()
-		<-e.Submit(id)
-		e.Shutdown()
-		// Exact averages of (v, 2v) are 1.5v; fp16 quantization bounds the
-		// error at ~2^-11 relative.
-		want := []float32{0.5, 150.09375, 1.5e-3}
-		for i, v := range buf {
-			rel := math.Abs(float64(v-want[i])) / math.Abs(float64(want[i]))
-			if rel > 2e-3 {
-				t.Errorf("rank %d elem %d: %g vs %g (rel %g)", c.Rank(), i, v, want[i], rel)
-			}
-		}
-	})
-}

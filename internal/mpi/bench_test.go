@@ -33,14 +33,15 @@ func BenchmarkAllreduceAlgorithms(b *testing.B) {
 	}
 }
 
-func BenchmarkHierarchicalAllreduce(b *testing.B) {
+func BenchmarkAllreduceSumNodeAware(b *testing.B) {
 	w := NewWorld(8)
+	w.SetGPUsPerNode(4)
 	b.SetBytes(65536 * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Run(func(c *Comm) {
 			buf := make([]float32, 65536)
-			c.HierarchicalAllreduce(buf, 4)
+			c.AllreduceSumNodeAware(buf, false)
 		})
 	}
 }

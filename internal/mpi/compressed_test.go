@@ -127,6 +127,7 @@ func TestAllreduceSumNodeAware(t *testing.T) {
 	for _, fp16 := range []bool{false, true} {
 		for _, tc := range []struct{ size, gs int }{
 			{1, 1}, {2, 1}, {4, 2}, {4, 4}, {8, 4}, {6, 4}, {7, 3}, {8, 1},
+			{8, 2}, {8, 8}, {12, 4}, {5, 2}, {4, 3},
 		} {
 			for _, n := range []int{1, 13, 257, 1000} {
 				seed := func(rank, i int) float32 { return float32((rank+2*i)%13 - 6) }

@@ -78,55 +78,6 @@ func (c *Comm) ReduceScatterBlock(buf []float32, recv []float32) {
 	copy(recv, chunk(c.rank))
 }
 
-// HierarchicalAllreduce is the two-level design MVAPICH2-GDR uses on
-// GPU-dense nodes (and the one the cluster simulator models): reduce
-// within each group of groupSize consecutive ranks onto a leader, ring-
-// allreduce across leaders, then broadcast within each group. With
-// groupSize == 1 or == world size it degenerates to a flat algorithm.
-func (c *Comm) HierarchicalAllreduce(buf []float32, groupSize int) {
-	p := c.world.size
-	if groupSize < 1 {
-		panic("mpi: HierarchicalAllreduce group size must be >= 1")
-	}
-	if p == 1 {
-		return
-	}
-	leader := c.rank - c.rank%groupSize
-	groupEnd := leader + groupSize
-	if groupEnd > p {
-		groupEnd = p
-	}
-	tmp := c.tmpScratch(len(buf))
-
-	// Phase 1: intra-group reduce onto the leader (flat gather-reduce;
-	// groups are small — 4 GPUs per node on Lassen).
-	if c.rank == leader {
-		for src := leader + 1; src < groupEnd; src++ {
-			c.Recv(src, tagHier, tmp)
-			sumInto(buf, tmp)
-		}
-	} else {
-		c.Send(leader, tagHier, buf)
-	}
-
-	// Phase 2: ring allreduce among leaders.
-	if c.rank == leader {
-		leaders := (p + groupSize - 1) / groupSize
-		if leaders > 1 {
-			c.leaderRing(buf, groupSize, leaders)
-		}
-	}
-
-	// Phase 3: intra-group broadcast of the result.
-	if c.rank == leader {
-		for dst := leader + 1; dst < groupEnd; dst++ {
-			c.Send(dst, tagHier+1, buf)
-		}
-	} else {
-		c.Recv(leader, tagHier+1, buf)
-	}
-}
-
 // leaderRing runs a ring allreduce among the group leaders only.
 func (c *Comm) leaderRing(buf []float32, groupSize, leaders int) {
 	me := c.rank / groupSize
@@ -134,7 +85,7 @@ func (c *Comm) leaderRing(buf []float32, groupSize, leaders int) {
 	prevLeader := ((me - 1 + leaders) % leaders) * groupSize
 	n := len(buf)
 	// Chunk i covers [i·n/leaders, (i+1)·n/leaders). The scratch lives in
-	// scrWork: scrTmp still holds HierarchicalAllreduce's phase-1 buffer.
+	// scrWork: scrTmp still holds AllreduceSumNodeAware's phase-1 buffer.
 	chunk := func(i int) []float32 {
 		i = ((i % leaders) + leaders) % leaders
 		return buf[i*n/leaders : (i+1)*n/leaders]

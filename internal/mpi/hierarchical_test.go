@@ -88,43 +88,11 @@ func TestReduceScatterBlockValidation(t *testing.T) {
 	})
 }
 
-func TestHierarchicalAllreduce(t *testing.T) {
-	// Group sizes that divide, exceed, and straggle the world size.
-	for _, tc := range []struct{ size, group int }{
-		{8, 4}, {8, 2}, {8, 8}, {8, 1}, {6, 4}, {12, 4}, {5, 2}, {4, 3},
-	} {
-		w := NewWorld(tc.size)
-		var mu sync.Mutex
-		results := make([][]float32, tc.size)
-		w.Run(func(c *Comm) {
-			buf := make([]float32, 13)
-			for i := range buf {
-				buf[i] = float32(c.Rank()*13 + i)
-			}
-			c.HierarchicalAllreduce(buf, tc.group)
-			mu.Lock()
-			results[c.Rank()] = buf
-			mu.Unlock()
-		})
-		for r, buf := range results {
-			for i, v := range buf {
-				var want float32
-				for rr := 0; rr < tc.size; rr++ {
-					want += float32(rr*13 + i)
-				}
-				if math.Abs(float64(v-want)) > 1e-2 {
-					t.Fatalf("size=%d group=%d rank=%d elem=%d: %g want %g",
-						tc.size, tc.group, r, i, v, want)
-				}
-			}
-		}
-	}
-}
-
 func TestHierarchicalMatchesRing(t *testing.T) {
 	const size = 8
 	run := func(hier bool) []float32 {
 		w := NewWorld(size)
+		w.SetGPUsPerNode(4)
 		var out []float32
 		var mu sync.Mutex
 		w.Run(func(c *Comm) {
@@ -133,7 +101,7 @@ func TestHierarchicalMatchesRing(t *testing.T) {
 				buf[i] = float32(c.Rank()) * 0.25 * float32(i%7)
 			}
 			if hier {
-				c.HierarchicalAllreduce(buf, 4)
+				c.AllreduceSumNodeAware(buf, false)
 			} else {
 				c.AllreduceSum(buf, AlgoRing)
 			}
@@ -151,19 +119,4 @@ func TestHierarchicalMatchesRing(t *testing.T) {
 			t.Fatalf("element %d: hierarchical %g vs ring %g", i, a[i], b[i])
 		}
 	}
-}
-
-func TestHierarchicalInvalidGroupPanics(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if c.Rank() != 0 {
-			return
-		}
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic")
-			}
-		}()
-		c.HierarchicalAllreduce(make([]float32, 4), 0)
-	})
 }

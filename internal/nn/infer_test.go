@@ -49,8 +49,13 @@ func TestFusedConv2dBitExact(t *testing.T) {
 }
 
 // TestFusedConv2dZeroAlloc enforces zero steady-state heap allocations on
-// the compiled forward path for both precisions.
+// the compiled forward path for both precisions. Pinned to one worker
+// like every other alloc gate: tensor.ParallelWorkers spawns goroutines
+// and a WaitGroup per kernel call, so zero-alloc is a one-worker property
+// until ROADMAP 2a's persistent worker pool lands.
 func TestFusedConv2dZeroAlloc(t *testing.T) {
+	prev := tensor.SetMaxWorkers(1)
+	defer tensor.SetMaxWorkers(prev)
 	rng := tensor.NewRNG(4)
 	conv := NewConv2d("c", 16, 16, 3, 1, 1, true, rng)
 	x := tensor.New(2, 16, 24, 24)

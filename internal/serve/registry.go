@@ -9,10 +9,11 @@ import (
 )
 
 // LoadEDSRCheckpoint loads trained EDSR weights from disk and returns a
-// Factory serving them. Both checkpoint flavors work: the weights-only
-// file written by trainer.SaveCheckpoint and the full training state
-// written by trainer.Session.Save — gob matches the shared
-// Config/Names/Values fields and skips the optimizer state.
+// Factory serving them. The trainer has one state format: the full
+// training state written by trainer.Session.Save and by every
+// trainer.TrainElastic checkpoint, of which trainer.SaveCheckpoint writes
+// the weights-only subset. trainer.LoadCheckpoint reads any of them and
+// uses Config/Names/Values only.
 func LoadEDSRCheckpoint(path string) (Factory, models.EDSRConfig, error) {
 	m, cfg, err := trainer.LoadCheckpoint(path)
 	if err != nil {

@@ -23,7 +23,7 @@ func serveConfig() trainer.Config {
 
 // checkFactoryMatches asserts a factory's replicas forward identically
 // to the reference model.
-func checkFactoryMatches(t *testing.T, f Factory, ref *models.EDSR) {
+func checkFactoryMatches(t *testing.T, f Factory, ref trainer.SRModel) {
 	t.Helper()
 	rng := tensor.NewRNG(61)
 	x := randImage(rng, 3, 9, 9)
@@ -73,6 +73,27 @@ func TestLoadEDSRCheckpointSessionFile(t *testing.T) {
 		t.Fatalf("LoadEDSRCheckpoint on a Session.Save file: %v", err)
 	}
 	checkFactoryMatches(t, f, s.Model)
+}
+
+// TestLoadEDSRCheckpointElasticFile loads the state file a 2-rank
+// trainer.TrainElastic run checkpoints into: the same format as
+// Session.Save with two loader RNG streams, rank 0's weights inside.
+func TestLoadEDSRCheckpointElasticFile(t *testing.T) {
+	cfg := serveConfig()
+	cfg.Steps = 2
+	path := filepath.Join(t.TempDir(), "elastic.ckpt")
+	model, _, err := trainer.TrainElastic(trainer.ElasticConfig{Train: cfg, WorldSize: 2, CheckpointPath: path})
+	if err != nil {
+		t.Fatalf("TrainElastic: %v", err)
+	}
+	f, gotCfg, err := LoadEDSRCheckpoint(path)
+	if err != nil {
+		t.Fatalf("LoadEDSRCheckpoint on a TrainElastic file: %v", err)
+	}
+	if gotCfg != cfg.Model {
+		t.Fatalf("config %+v, want %+v", gotCfg, cfg.Model)
+	}
+	checkFactoryMatches(t, f, model)
 }
 
 // TestLoadEDSRCheckpointMissing checks the error path.

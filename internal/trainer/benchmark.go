@@ -25,7 +25,7 @@ type BenchmarkScore struct {
 // bicubic upscale for SRCNN); scale the SR factor.
 func EvaluateOnBenchmarks(model SRModel, pre func(*tensor.Tensor) *tensor.Tensor, scale, size int, seed uint64) []BenchmarkScore {
 	if pre == nil {
-		pre = func(t *tensor.Tensor) *tensor.Tensor { return t }
+		pre = identity
 	}
 	var scores []BenchmarkScore
 	for _, set := range data.StandardBenchmarks(size, seed) {

@@ -1,30 +1,24 @@
 package trainer
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/data"
 	"repro/internal/horovod"
 	"repro/internal/models"
 	"repro/internal/mpi"
-	"repro/internal/nn"
-	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
-// ElasticConfig drives a fault-tolerant data-parallel training run: the
-// distributed generalization of Session. Rank 0 writes an atomic
-// checkpoint of the full training state (parameters, Adam moments, the
-// per-rank loader RNG streams) every CheckpointEvery steps; when a rank
-// dies mid-run the surviving ranks rebuild a smaller world from the
-// last checkpoint, re-shard the data, rescale the learning rate, and
-// continue.
+// ElasticConfig drives a fault-tolerant data-parallel training run: every
+// rank steps a Session, and all of them Save the full training state
+// (parameters, Adam moments, the per-rank loader RNG streams; rank 0
+// writes it atomically) every CheckpointEvery steps. When a rank dies
+// mid-run the surviving ranks rebuild a smaller world from the last
+// checkpoint, re-shard the data, rescale the learning rate, and continue.
 type ElasticConfig struct {
 	// Train is the per-rank training configuration (model, data, steps,
 	// base LR — scaled by the live world size, per the Horovod rule).
@@ -73,49 +67,6 @@ type ElasticStats struct {
 	Attempts []AttemptStats
 }
 
-// elasticState is the serialized distributed training state. Values and
-// moments are identical on every rank (that is the data-parallel
-// invariant), so rank 0's copy plus every rank's loader RNG stream is
-// the complete state of the job.
-type elasticState struct {
-	Config    Config
-	WorldSize int
-	Step      int
-	Names     []string
-	Values    []*tensor.Tensor
-	AdamM     []*tensor.Tensor
-	AdamV     []*tensor.Tensor
-	AdamStep  int
-	LoaderRNG []uint64
-}
-
-// LoadElasticState reads a distributed checkpoint (exported for the CLI
-// to print resume info).
-func LoadElasticState(path string) (step, worldSize int, err error) {
-	st, err := readElasticState(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	return st.Step, st.WorldSize, nil
-}
-
-func readElasticState(path string) (*elasticState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var st elasticState
-	if err := gob.NewDecoder(f).Decode(&st); err != nil {
-		return nil, fmt.Errorf("trainer: corrupt elastic checkpoint %s: %w", path, err)
-	}
-	if st.WorldSize < 1 || st.Step < 0 || len(st.LoaderRNG) != st.WorldSize {
-		return nil, fmt.Errorf("trainer: inconsistent elastic checkpoint %s (world %d, step %d, %d rng streams)",
-			path, st.WorldSize, st.Step, len(st.LoaderRNG))
-	}
-	return &st, nil
-}
-
 // TrainElastic runs fault-tolerant data-parallel training. On a clean
 // run it is TrainDistributed plus periodic checkpoints; when ranks die
 // it restarts from the last checkpoint with the survivors, up to
@@ -133,10 +84,10 @@ func TrainElastic(cfg ElasticConfig) (*models.EDSR, ElasticStats, error) {
 	ws := cfg.WorldSize
 	fault := normalizeFault(cfg.Fault)
 	for {
-		model, attempt, runErr := runElasticAttempt(cfg, ws, fault)
+		out, attempt, runErr := runAttempt(cfg, ws, fault)
 		stats.Attempts = append(stats.Attempts, attempt)
 		if runErr == nil {
-			return model, stats, nil
+			return out.model, stats, nil
 		}
 		if cfg.CheckpointPath == "" {
 			return nil, stats, fmt.Errorf("trainer: rank failure without a checkpoint to restart from: %w", runErr)
@@ -149,8 +100,11 @@ func TrainElastic(cfg ElasticConfig) (*models.EDSR, ElasticStats, error) {
 			return nil, stats, fmt.Errorf("trainer: no survivors to restart with: %w", runErr)
 		}
 		if cfg.Train.Log != nil {
+			// errors.Join output is one line per failed rank; the first
+			// line carries the root cause.
+			cause, _, _ := strings.Cut(runErr.Error(), "\n")
 			fmt.Fprintf(cfg.Train.Log, "elastic: %s; restarting with %d rank(s) from %s\n",
-				firstLine(runErr.Error()), survivors, cfg.CheckpointPath)
+				cause, survivors, cfg.CheckpointPath)
 		}
 		// Mark the restart boundary on rank 0's timeline and in the live
 		// metrics so a trace of a recovered run shows where the old world
@@ -166,14 +120,6 @@ func TrainElastic(cfg ElasticConfig) (*models.EDSR, ElasticStats, error) {
 	}
 }
 
-// firstLine trims a multi-rank errors.Join message to its root cause.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
 func normalizeFault(p mpi.FaultPlan) mpi.FaultPlan {
 	// The zero value of FaultPlan targets rank 0 everywhere; treat "all
 	// zero" as "no faults" so callers need not know the -1 convention.
@@ -183,27 +129,29 @@ func normalizeFault(p mpi.FaultPlan) mpi.FaultPlan {
 	return p
 }
 
-// runElasticAttempt executes one world until the configured step count
-// or the first failure. It resumes from CheckpointPath when present.
-func runElasticAttempt(cfg ElasticConfig, ws int, fault mpi.FaultPlan) (*models.EDSR, AttemptStats, error) {
-	at := AttemptStats{WorldSize: ws, StartStep: 0}
-	var st *elasticState
+// runAttempt executes one world until the configured step count or the
+// first failure, and returns rank 0's progress. It resumes from
+// CheckpointPath when that file exists. This is the one place a training
+// world is set up: TrainDistributed is a single attempt with no
+// checkpoint path.
+func runAttempt(cfg ElasticConfig, ws int, fault mpi.FaultPlan) (rankProgress, AttemptStats, error) {
+	at := AttemptStats{WorldSize: ws}
+	var st *trainState
 	if cfg.CheckpointPath != "" {
-		if loaded, err := readElasticState(cfg.CheckpointPath); err == nil {
+		loaded, err := readFullState(cfg.CheckpointPath)
+		switch {
+		case err == nil:
 			st = loaded
 			at.StartStep = st.Step
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, at, err
+		case !errors.Is(err, os.ErrNotExist):
+			return rankProgress{}, at, err
 		}
 	}
-	if at.StartStep >= cfg.Train.Steps {
+	if st != nil && st.Step >= cfg.Train.Steps {
 		// Nothing left to do; rebuild rank 0's model from the checkpoint.
-		model := models.NewEDSR(cfg.Train.Model, tensor.NewRNG(cfg.Train.Seed))
-		if err := restoreParams(model, st); err != nil {
-			return nil, at, err
-		}
+		model, err := edsrFromState(cfg.Train, st)
 		at.EndStep = at.StartStep
-		return model, at, nil
+		return rankProgress{model: model}, at, err
 	}
 
 	world := mpi.NewWorld(ws)
@@ -214,255 +162,78 @@ func runElasticAttempt(cfg ElasticConfig, ws int, fault mpi.FaultPlan) (*models.
 	}
 
 	outs := make([]rankProgress, ws)
-	runErr := world.Run(func(c *mpi.Comm) {
-		// The progress struct is updated in place every step so that a
-		// failed attempt still reports how far it got and what the loss
-		// looked like (a panic unwinds past any return value).
-		elasticRankLoop(cfg, c, st, &outs[c.Rank()])
+	err := world.Run(func(c *mpi.Comm) {
+		o := &outs[c.Rank()]
+		o.err = trainRank(cfg, c, st, o)
 	})
 	at.survivors = len(world.Survivors())
-	o := outs[0]
-	if o.steps > 0 {
-		at.AvgLoss = o.lossSum / float64(o.steps)
-		at.FinalLoss = o.last
+	// A failed attempt still reports how far rank 0 got and what the loss
+	// looked like.
+	at.EndStep = at.StartStep
+	if s := outs[0].s; s != nil && s.ran > 0 {
+		at.AvgLoss = s.lossSum / float64(s.ran)
+		at.FinalLoss = s.lastLoss
+		at.EndStep += s.ran
 	}
-	at.EndStep = at.StartStep + o.steps
-	if runErr != nil {
-		at.Err = runErr.Error()
-		return nil, at, runErr
-	}
-	if o.err != nil {
-		at.Err = o.err.Error()
-		return nil, at, o.err
-	}
-	for r := range outs {
+	for r := 0; err == nil && r < ws; r++ {
 		if outs[r].err != nil {
-			at.Err = outs[r].err.Error()
-			return nil, at, fmt.Errorf("rank %d: %w", r, outs[r].err)
+			err = fmt.Errorf("rank %d: %w", r, outs[r].err)
 		}
 	}
-	return o.model, at, nil
+	if err != nil {
+		at.Err = err.Error()
+	}
+	return outs[0], at, err
 }
 
-// rankProgress is one rank's incrementally-updated training state; it
-// survives a mid-step panic so failed attempts still report stats.
+// rankProgress is what one rank's run leaves behind. The driver owns it
+// and trainRank fills model and s in place, so a rank that panics
+// mid-step (a panic unwinds past any return value) still reports its
+// Session's running totals.
 type rankProgress struct {
-	model   *models.EDSR
-	lossSum float64
-	steps   int
-	last    float64
-	err     error
+	model *models.EDSR
+	s     *Session
+	err   error
 }
 
-// elasticRankLoop is one rank's fault-aware training loop: trainRank
-// plus state restore, per-step fault points, and periodic distributed
-// checkpoints.
-func elasticRankLoop(cfg ElasticConfig, c *mpi.Comm, st *elasticState, out *rankProgress) {
-	rank, ws := c.Rank(), c.Size()
+// trainRank is one rank's whole EDSR run: build a Session (restored from
+// st when resuming), synchronise the replicas, and step it to
+// cfg.Train.Steps, saving the training state at every checkpoint
+// boundary. c is nil for single-process training.
+func trainRank(cfg ElasticConfig, c *mpi.Comm, st *trainState, out *rankProgress) error {
 	tcfg := cfg.Train
-	rng := tensor.NewRNG(tcfg.Seed) // identical weights pre-broadcast
-	model := models.NewEDSR(tcfg.Model, rng)
-	out.model = model
-	params := model.Params()
-	if err := nn.CheckUniqueNames(params); err != nil {
-		out.err = err
-		return
+	if tcfg.Steps < 1 {
+		return fmt.Errorf("trainer: invalid config: steps=%d", tcfg.Steps)
 	}
-
-	ds := data.NewDataset(tcfg.Data)
-	loader, err := data.NewLoader(ds, data.LoaderConfig{
-		BatchSize: tcfg.BatchSize,
-		PatchSize: tcfg.PatchSize,
-		Scale:     tcfg.Model.Scale,
-		Rank:      rank,
-		WorldSize: ws,
-		Seed:      loaderSeed(tcfg.Seed, st),
-	})
+	out.model = newEDSR(tcfg)
+	s, err := newSession(tcfg, out.model, identity, c, cfg.FusionThresholdBytes, st)
 	if err != nil {
-		out.err = err
-		return
+		return err
 	}
-
-	opt := nn.NewAdam(params, tcfg.LR)
-	start := 0
-	if st != nil {
-		if err := restoreParams(model, st); err != nil {
-			out.err = err
-			return
-		}
-		m, v, _ := opt.State()
-		if len(st.AdamM) != len(m) || len(st.AdamV) != len(v) {
-			out.err = fmt.Errorf("trainer: optimizer state size mismatch in checkpoint")
-			return
-		}
-		for i := range m {
-			m[i].CopyFrom(st.AdamM[i])
-			v[i].CopyFrom(st.AdamV[i])
-		}
-		opt.SetStep(st.AdamStep)
-		start = st.Step
-		if st.WorldSize == ws {
-			// Same world: resume each rank's exact sampling stream so the
-			// continuation is bit-identical to a run that never stopped.
-			loader.SetRNGState(st.LoaderRNG[rank])
-		}
-		// Shrunk world: the loader above was already built with the new
-		// sharding and a seed mixed from the checkpoint step, so the
-		// restarted run is deterministic (two restarts from the same
-		// checkpoint draw identical batches) even though it cannot match
-		// the dead world's stream.
+	out.s = s
+	defer s.close()
+	if c != nil {
+		horovod.BroadcastParameters(c, out.model.Params(), 0)
 	}
-
-	fn, err := tcfg.newAllreduceFn()
-	if err != nil {
-		out.err = err
-		return
-	}
-	fth := cfg.FusionThresholdBytes
-	if tcfg.Compression == "topk" {
-		// Top-k error feedback needs stable per-tensor buffers (see
-		// Config.fusionThreshold); unfused also keeps runs deterministic.
-		fth = 1
-	}
-	engine := horovod.NewEngine(engineComm(tcfg, c), horovod.Config{
-		FusionThresholdBytes: fth,
-		CycleTime:            0, // in-process ranks negotiate eagerly
-		Average:              true,
-		Algo:                 mpi.AlgoRing,
-		AllreduceFn:          fn,
-		Trace:                tcfg.Trace.Recorder(rank),
-		Metrics:              rankMetrics(tcfg, rank),
-	})
-	dopt := horovod.NewDistributedOptimizer(opt, engine)
-	model.SetGradHook(dopt.GradHook())
-	engine.Start()
-	defer engine.Shutdown()
-	horovod.BroadcastParameters(c, params, 0)
-	horovod.ScaleLR(opt, ws)
-	schedule := nn.StepLRSchedule{Base: tcfg.LR * float64(ws), DecayEvery: tcfg.LRDecayEvery, Gamma: 0.5}
-
-	rec := tcfg.Trace.Recorder(rank)
-	tm := rankMetrics(tcfg, rank)
-	if tm != nil {
-		tm.WorldSize.Set(float64(ws))
-	}
-	loss := nn.L1Loss{}
-	var gradBuf *tensor.Tensor
-	for step := start; step < tcfg.Steps; step++ {
-		c.FaultPoint(step)
-		if tcfg.LRDecayEvery > 0 {
-			schedule.Apply(opt, step)
+	for s.Step < tcfg.Steps {
+		n := tcfg.Steps - s.Step
+		if k := cfg.CheckpointEvery; cfg.CheckpointPath != "" && k > 0 {
+			n = min(n, k-s.Step%k)
 		}
-		batch := loader.Next()
-		stepStart := time.Now()
-		stepSpan := rec.Now()
-		dopt.ZeroGrad()
-		fwdSpan := rec.Now()
-		pred := model.Forward(batch.LR)
-		rec.Emit(trace.CatForward, trace.TrackMain, fwdSpan, 0)
-		l, grad := loss.ForwardBuf(gradBuf, pred, batch.HR)
-		gradBuf = grad
-		bwdSpan := rec.Now()
-		model.Backward(grad)
-		rec.Emit(trace.CatBackward, trace.TrackMain, bwdSpan, 0)
-		dopt.Step()
-		rec.Emit(trace.CatStep, trace.TrackMain, stepSpan, 0)
-		if tm != nil {
-			tm.ObserveStep(tcfg.BatchSize*ws, time.Since(stepStart), 0)
+		if _, err := s.RunSteps(n); err != nil {
+			return err
 		}
-		out.lossSum += l
-		out.last = l
-		out.steps++
-		if tcfg.LogEvery > 0 && tcfg.Log != nil && rank == 0 && (step+1)%tcfg.LogEvery == 0 {
-			fmt.Fprintf(tcfg.Log, "step %4d  loss %.5f  world %d\n", step+1, l, ws)
-		}
-		if cfg.CheckpointPath != "" &&
-			(step+1 == tcfg.Steps || (cfg.CheckpointEvery > 0 && (step+1)%cfg.CheckpointEvery == 0)) {
-			ckSpan := rec.Now()
-			if err := writeElasticCheckpoint(cfg, c, step+1, params, opt, loader); err != nil {
-				out.err = err
-				return
-			}
-			rec.Emit(trace.CatCheckpoint, trace.TrackMain, ckSpan, 0)
-			if tm != nil {
-				tm.Checkpoints.Inc()
+		if cfg.CheckpointPath != "" {
+			if err := s.Save(cfg.CheckpointPath); err != nil {
+				return err
 			}
 		}
 	}
-	// Merge spans on rank 0 while the world is still healthy; failed
-	// attempts skip this (the trace keeps what rank 0 recorded locally).
-	tcfg.Trace.Gather(c, 0)
-}
-
-// loaderSeed derives the loader's base seed. Fresh runs use the same
-// derivation as trainRank; a run resumed into a *different* world size
-// mixes in the checkpoint step so the re-sharded streams are fresh but
-// deterministic.
-func loaderSeed(seed uint64, st *elasticState) uint64 {
-	s := seed + 100
-	if st != nil {
-		s += uint64(st.Step) * 7919
-	}
-	return s
-}
-
-// restoreParams copies checkpoint values into the model.
-func restoreParams(model *models.EDSR, st *elasticState) error {
-	if st == nil {
-		return fmt.Errorf("trainer: nil elastic state")
-	}
-	params := model.Params()
-	if len(params) != len(st.Names) {
-		return fmt.Errorf("trainer: checkpoint has %d tensors, model %d", len(st.Names), len(params))
-	}
-	for i, p := range params {
-		if p.Name != st.Names[i] {
-			return fmt.Errorf("trainer: checkpoint tensor %q does not match %q", st.Names[i], p.Name)
-		}
-		if !p.Value.SameShape(st.Values[i]) {
-			return fmt.Errorf("trainer: shape mismatch for %q", p.Name)
-		}
-		p.Value.CopyFrom(st.Values[i])
+	if c != nil {
+		// Merge every rank's spans on rank 0 while the world is still
+		// healthy; failed attempts skip this (the trace keeps what rank 0
+		// recorded locally).
+		tcfg.Trace.Gather(c, 0)
 	}
 	return nil
-}
-
-// writeElasticCheckpoint gathers every rank's loader RNG stream on rank
-// 0 and writes the full training state atomically. All ranks call it at
-// the same step; only rank 0 touches the filesystem. RNG states travel
-// through the float32 substrate as raw bit halves — Send/Recv/Gather
-// only copy, so the uint64 round-trips exactly.
-func writeElasticCheckpoint(cfg ElasticConfig, c *mpi.Comm, step int, params []*nn.Param, opt *nn.Adam, loader *data.Loader) error {
-	ws := c.Size()
-	state := loader.RNGState()
-	in := [2]float32{
-		math.Float32frombits(uint32(state)),
-		math.Float32frombits(uint32(state >> 32)),
-	}
-	var out []float32
-	if c.Rank() == 0 {
-		out = make([]float32, 2*ws)
-	}
-	c.Gather(in[:], out, 0)
-	if c.Rank() != 0 {
-		return nil
-	}
-	st := elasticState{
-		Config:    cfg.Train.sanitized(),
-		WorldSize: ws,
-		Step:      step,
-	}
-	m, v, adamStep := opt.State()
-	st.AdamM, st.AdamV, st.AdamStep = m, v, adamStep
-	for _, p := range params {
-		st.Names = append(st.Names, p.Name)
-		st.Values = append(st.Values, p.Value)
-	}
-	st.LoaderRNG = make([]uint64, ws)
-	for r := 0; r < ws; r++ {
-		lo := uint64(math.Float32bits(out[2*r]))
-		hi := uint64(math.Float32bits(out[2*r+1]))
-		st.LoaderRNG[r] = hi<<32 | lo
-	}
-	return atomicWriteGob(cfg.CheckpointPath, &st)
 }

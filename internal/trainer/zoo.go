@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/data"
-	"repro/internal/metrics"
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -61,7 +59,7 @@ type ZooConfig struct {
 // SRResNet learn the upscaling themselves; SRCNN refines a bicubic
 // upscale, so its preprocessing blows the LR patch up first.
 func (z ZooConfig) Build(rng *tensor.RNG) (SRModel, func(lr *tensor.Tensor) *tensor.Tensor, error) {
-	pre := func(lr *tensor.Tensor) *tensor.Tensor { return lr }
+	pre := identity
 	switch z.Arch {
 	case ArchEDSR:
 		cfg := models.EDSRConfig{NumBlocks: z.Blocks, NumFeats: z.Feats, Scale: z.Scale, ResScale: 0.1, Colors: 3}
@@ -98,6 +96,10 @@ func (z ZooConfig) Build(rng *tensor.RNG) (SRModel, func(lr *tensor.Tensor) *ten
 	}
 }
 
+// identity is the input preprocessing of models that take the LR image
+// as it is.
+func identity(lr *tensor.Tensor) *tensor.Tensor { return lr }
+
 // ZooResult is the outcome of one zoo training run.
 type ZooResult struct {
 	Arch        Arch
@@ -111,59 +113,27 @@ type ZooResult struct {
 // PSNR against ground truth and the bicubic baseline on held-out images.
 func TrainZoo(z ZooConfig, evalImages int) (ZooResult, error) {
 	cfg := z.Train
-	if cfg.Steps < 1 || cfg.BatchSize < 1 {
-		return ZooResult{}, fmt.Errorf("trainer: invalid zoo config %+v", cfg)
+	if cfg.Steps < 1 {
+		return ZooResult{}, fmt.Errorf("trainer: invalid config: steps=%d", cfg.Steps)
 	}
-	rng := tensor.NewRNG(cfg.Seed)
-	model, pre, err := z.Build(rng)
+	cfg.Model.Scale = z.Scale // what the loader and the evaluation read
+	model, pre, err := z.Build(tensor.NewRNG(cfg.Seed))
 	if err != nil {
 		return ZooResult{}, err
 	}
-	ds := data.NewDataset(cfg.Data)
-	loader, err := data.NewLoader(ds, data.LoaderConfig{
-		BatchSize: cfg.BatchSize,
-		PatchSize: cfg.PatchSize,
-		Scale:     z.Scale,
-		Rank:      0,
-		WorldSize: 1,
-		Seed:      cfg.Seed + 100,
-	})
+	s, err := newSession(cfg, model, pre, nil, 0, nil)
 	if err != nil {
 		return ZooResult{}, err
 	}
-	opt := nn.NewAdam(model.Params(), cfg.LR)
-	loss := nn.L1Loss{}
-	var last float64
-	for step := 0; step < cfg.Steps; step++ {
-		batch := loader.Next()
-		opt.ZeroGrad()
-		pred := model.Forward(pre(batch.LR))
-		l, grad := loss.Forward(pred, batch.HR)
-		model.Backward(grad)
-		opt.Step()
-		last = l
-		if cfg.LogEvery > 0 && cfg.Log != nil && (step+1)%cfg.LogEvery == 0 {
-			fmt.Fprintf(cfg.Log, "[%s] step %4d  loss %.5f\n", z.Arch, step+1, l)
-		}
+	last, err := s.RunSteps(cfg.Steps)
+	if err != nil {
+		return ZooResult{}, err
 	}
-
 	res := ZooResult{Arch: z.Arch, Params: model.NumParams(), FinalLoss: last}
-	eval := data.NewDataset(data.SyntheticConfig{
-		Images: cfg.Data.Images + evalImages, Height: cfg.Data.Height,
-		Width: cfg.Data.Width, Channels: cfg.Data.Channels, Seed: cfg.Data.Seed,
-	})
-	for i := 0; i < evalImages; i++ {
-		lr, hr := eval.Pair(cfg.Data.Images+i, z.Scale)
-		sr := model.Forward(pre(lr))
-		sr.Clamp(0, 1)
-		bi := models.BicubicUpscale(lr, z.Scale)
-		bi.Clamp(0, 1)
-		res.PSNR += metrics.PSNR(sr, hr, 1)
-		res.PSNRBicubic += metrics.PSNR(bi, hr, 1)
-	}
 	if evalImages > 0 {
-		res.PSNR /= float64(evalImages)
-		res.PSNRBicubic /= float64(evalImages)
+		pm, pb := heldOutPSNR(model, pre, cfg, evalImages, 0, 1)
+		res.PSNR = pm / float64(evalImages)
+		res.PSNRBicubic = pb / float64(evalImages)
 	}
 	return res, nil
 }
