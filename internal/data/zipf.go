@@ -5,7 +5,7 @@ import "math/rand"
 // ZipfSampler draws item indices from a Zipf power-law distribution —
 // the canonical model of redundant serving traffic, where a few hot
 // images (thumbnails, logos) dominate a long tail. It drives the
-// bench-serve repeat-traffic generator against the result cache; like
+// benchmark's fleet_zipf repeat traffic against the result cache; like
 // the Dataset generator it is fully determined by its seed, so a
 // recorded benchmark names everything needed to reproduce its request
 // stream.

@@ -47,6 +47,9 @@ type DistributedOptimizer struct {
 	// reduction, nil when not submitted; reused across steps.
 	pending []<-chan struct{}
 	hook    nn.GradHook
+	// drained records that Drain already reduced this step's gradients,
+	// so the Step that follows must not submit them again.
+	drained bool
 
 	// drainTotal/drains accumulate the exposed communication window so
 	// trainer.Stats can report per-step drain milliseconds.
@@ -91,8 +94,9 @@ func (d *DistributedOptimizer) GradHook() nn.GradHook { return d.hook }
 // Drain submits any gradients the hook has not already announced
 // (reverse registration order, as a backward pass would produce them)
 // and blocks until every outstanding reduction completes. Step calls it
-// before the wrapped update; callers that want to schedule or measure
-// the exposed communication window may call it directly.
+// before the wrapped update unless the caller already has: callers that
+// want to schedule or measure the exposed communication window may call
+// it directly, once per step.
 //
 // If the engine failed (a peer rank died), its waiters are closed
 // without results; Drain then panics with the engine's error — a
@@ -111,6 +115,7 @@ func (d *DistributedOptimizer) Drain() {
 		<-w
 		d.pending[i] = nil
 	}
+	d.drained = true
 	dur := time.Since(start)
 	d.drainTotal += dur
 	d.drains++
@@ -126,16 +131,19 @@ func (d *DistributedOptimizer) Drain() {
 // DrainStats returns the accumulated exposed-communication wait across
 // all Drain calls and how many drains ran. The mean per-step drain is
 // the step's non-overlapped allreduce cost — the quantity
-// trainer.Stats surfaces and cmd/bench-comm sweeps.
+// trainer.Stats surfaces as DrainMsPerStep.
 func (d *DistributedOptimizer) DrainStats() (total time.Duration, n int) {
 	return d.drainTotal, d.drains
 }
 
-// Step drains all gradient reductions, then applies the wrapped
-// optimizer's update. On a failed engine Drain panics before the update
-// is applied (see Drain).
+// Step drains all gradient reductions, unless an explicit Drain already
+// did for this step, then applies the wrapped optimizer's update. On a
+// failed engine Drain panics before the update is applied (see Drain).
 func (d *DistributedOptimizer) Step() {
-	d.Drain()
+	if !d.drained {
+		d.Drain()
+	}
+	d.drained = false
 	d.inner.Step()
 }
 

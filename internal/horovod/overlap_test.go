@@ -2,6 +2,7 @@ package horovod
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mpi"
@@ -148,4 +149,53 @@ func TestGradHookDoubleAnnouncePanics(t *testing.T) {
 		}
 	}()
 	hook(p)
+}
+
+// TestDrainThenStepSubmitsOnce: a caller that measures the exposed
+// communication window calls Drain itself and then Step. The gradients
+// Drain already reduced must not go through the engine a second time:
+// with fusion off the engine makes one allreduce call per parameter per
+// step, whether Drain is explicit or left to Step.
+func TestDrainThenStepSubmitsOnce(t *testing.T) {
+	const world, steps = 2, 3
+	cfg := testConfig()
+	cfg.FusionThresholdBytes = -1
+	var calls [world]atomic.Int64
+	cfg.AllreduceFn = func(c *mpi.Comm, buf []float32) error {
+		calls[c.Rank()].Add(1)
+		c.AllreduceSum(buf, mpi.AlgoRing)
+		return nil
+	}
+
+	var nParams int
+	mpi.NewWorld(world).Run(func(c *mpi.Comm) {
+		rng := tensor.NewRNG(321)
+		net := nn.NewSequential("n",
+			nn.NewConv2d("n.c1", 1, 2, 3, 1, 1, true, rng),
+			nn.NewReLU(),
+			nn.NewConv2d("n.c2", 2, 1, 3, 1, 1, true, rng),
+		)
+		if c.Rank() == 0 {
+			nParams = len(net.Params())
+		}
+		e := NewEngine(c, cfg)
+		dopt := NewDistributedOptimizer(nn.NewSGD(net.Params(), 0.05, 0, 0), e)
+		net.SetGradHook(dopt.GradHook())
+		e.Start()
+		x := tensor.New(1, 1, 6, 6)
+		x.FillUniform(tensor.NewRNG(uint64(c.Rank())+1), 0, 1)
+		for s := 0; s < steps; s++ {
+			dopt.ZeroGrad()
+			_, g := nn.MSELoss{}.Forward(net.Forward(x), x)
+			net.Backward(g)
+			dopt.Drain()
+			dopt.Step()
+		}
+		e.Shutdown()
+	})
+	for r := range calls {
+		if got, want := calls[r].Load(), int64(steps*nParams); got != want {
+			t.Errorf("rank %d: %d allreduce calls over %d steps of %d parameters, want %d", r, got, steps, nParams, want)
+		}
+	}
 }

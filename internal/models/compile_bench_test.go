@@ -7,8 +7,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// The compiled-vs-training forward benchmarks back the serving speedup
-// numbers in BENCH_serve.json: run with -cpu 1 on an otherwise idle
+// The compiled-vs-training forward benchmarks back the per-variant
+// kernel figures in EXPERIMENTS.md: run with -cpu 1 on an otherwise idle
 // machine to reproduce the per-core figures.
 
 func benchEDSRForward(b *testing.B, compile bool, prec nn.Precision) {

@@ -225,8 +225,9 @@ func TestCompressedAllreduceZeroAlloc(t *testing.T) {
 }
 
 // TestSentBytesMeter: the per-rank wire meter must count exactly the
-// payload Send moves — differencing it is how bench-comm measures the
-// compression ratio on the wire.
+// payload Send moves — differencing it is how the benchmark's ledger
+// (mpi.wire_ratio_fp16, collective.wire_ratio_topk) and TestTopKWireBytes
+// measure the compression ratio on the wire.
 func TestSentBytesMeter(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {

@@ -2,8 +2,10 @@ package router
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,16 +16,11 @@ import (
 	rtrace "repro/internal/trace/request"
 )
 
-// TestTracePropagationE2E drives one request through a real router →
-// real sr-serve replica and asserts the result is a single connected
-// span tree: the replica adopts the router's trace ID from the
-// traceparent header, its root parents under the router's attempt span,
-// and every recorded span's parent resolves inside the merged tree —
-// no orphans, no second tree. Run with -race, this also shakes the
-// lock-free collector across the router's and replica's goroutines.
-func TestTracePropagationE2E(t *testing.T) {
-	// Real replica: bicubic model behind a real serve.Server + listener,
-	// keeping every trace so the assertion is deterministic.
+// startTracedReplica runs a real sr-serve replica — bicubic model behind
+// a real serve.Server and listener — whose trace store keeps every
+// request, so assertions on its retained traces are deterministic.
+func startTracedReplica(t *testing.T) (url string, store *rtrace.Store) {
+	t.Helper()
 	engine := serve.NewEngine(serve.EngineConfig{
 		Batch: serve.BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond},
 	}, nil, nil)
@@ -32,14 +29,38 @@ func TestTracePropagationE2E(t *testing.T) {
 	}
 	t.Cleanup(engine.Shutdown)
 	replica := serve.NewServer(engine, nil, nil, 0)
-	replicaStore := rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: 1})
-	replica.SetTraceStore(replicaStore)
+	store = rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: 1})
+	replica.SetTraceStore(store)
 	backend := httptest.NewServer(replica)
 	t.Cleanup(backend.Close)
+	return backend.URL, store
+}
+
+// testPNG encodes a seeded side×side RGB image.
+func testPNG(t *testing.T, seed uint64, side int) string {
+	t.Helper()
+	x := tensor.New(1, 3, side, side)
+	x.FillUniform(tensor.NewRNG(seed), 0, 1)
+	var png bytes.Buffer
+	if err := imageio.WritePNG(&png, x); err != nil {
+		t.Fatalf("WritePNG: %v", err)
+	}
+	return png.String()
+}
+
+// TestTracePropagationE2E drives one request through a real router →
+// real sr-serve replica and asserts the result is a single connected
+// span tree: the replica adopts the router's trace ID from the
+// traceparent header, its root parents under the router's attempt span,
+// and every recorded span's parent resolves inside the merged tree —
+// no orphans, no second tree. Run with -race, this also shakes the
+// lock-free collector across the router's and replica's goroutines.
+func TestTracePropagationE2E(t *testing.T) {
+	backendURL, replicaStore := startTracedReplica(t)
 
 	reg := trace.NewMetrics()
 	rt, err := New(Config{
-		Backends: []string{backend.URL},
+		Backends: []string{backendURL},
 		Pool:     PoolConfig{HealthInterval: 10 * time.Millisecond},
 	}, reg, nil)
 	if err != nil {
@@ -50,14 +71,7 @@ func TestTracePropagationE2E(t *testing.T) {
 	rt.SetTraceStore(routerStore)
 	waitFor(t, func() bool { return rt.Pool().NumHealthy() == 1 }, "replica in rotation")
 
-	x := tensor.New(1, 3, 8, 8)
-	x.FillUniform(tensor.NewRNG(7), 0, 1)
-	var png bytes.Buffer
-	if err := imageio.WritePNG(&png, x); err != nil {
-		t.Fatalf("WritePNG: %v", err)
-	}
-
-	rr := post(rt, "/v1/upscale?model=bicubic", png.String(), nil)
+	rr := post(rt, "/v1/upscale?model=bicubic", testPNG(t, 7, 8), nil)
 	if rr.Code != http.StatusOK {
 		t.Fatalf("routed upscale: %d %s", rr.Code, rr.Body.String())
 	}
@@ -138,6 +152,106 @@ func TestTracePropagationE2E(t *testing.T) {
 	for _, want := range []rtrace.Stage{rtrace.StageServeDecode, rtrace.StageServeForward, rtrace.StageServeEncode} {
 		if !stages[want] {
 			t.Fatalf("replica trace missing stage %s (got %v)", want, stages)
+		}
+	}
+}
+
+// TestTraceReplayedAttemptAttribution: a request whose first attempt
+// dies with its replica and replays on another is always retained (no
+// sampling needed), both attempts and the surviving replica's spans sit
+// under the one trace ID, the stage spans explain at least 95% of the
+// request's wall time, and an operator finds the same trace on
+// /debug/traces over HTTP.
+func TestTraceReplayedAttemptAttribution(t *testing.T) {
+	doomed := startReplica(t, "127.0.0.1:0")
+	t.Cleanup(doomed.engine.Shutdown)
+	liveURL, replicaStore := startTracedReplica(t)
+
+	rt, err := New(Config{
+		Backends:  []string{"http://" + doomed.addr, liveURL},
+		Placement: "hash",
+		// Only the failed attempt itself may eject the dead replica.
+		Pool: PoolConfig{HealthInterval: time.Hour},
+	}, trace.NewMetrics(), nil)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(rt.Close)
+	// Probabilistic and slow-tail sampling off: the replay is the only
+	// reason this trace can be kept.
+	rt.SetTraceStore(rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: -1, SlowPct: -1}))
+
+	// An upload the ring places on the doomed replica, which then dies
+	// with no drain: the attempt meets a refused connection.
+	var body string
+	for seed := uint64(1); ; seed++ {
+		body = testPNG(t, seed, 64)
+		if rt.place.Pick(rt.pool, hashKey("bicubic", []byte(body)), nil).Index == 0 {
+			break
+		}
+	}
+	doomed.kill()
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+	resp, err := http.Post(front.URL+"/v1/upscale?model=bicubic", "image/png", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("routed upscale: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed upscale: %d, want 200 after replay", resp.StatusCode)
+	}
+	traceID := resp.Header.Get("X-Trace-Id")
+
+	kept := rt.TraceStore().Retained()
+	if len(kept) != 1 || kept[0].ID.String() != traceID || kept[0].KeptFor != rtrace.KeptForced {
+		t.Fatalf("router retained %d traces (%+v), want the replayed request %s kept as %q",
+			len(kept), kept, traceID, rtrace.KeptForced)
+	}
+	tr := kept[0]
+	ids := map[uint64]bool{}
+	for _, sp := range tr.Spans {
+		ids[sp.ID] = true
+	}
+	var failed, won []uint64
+	for _, sp := range tr.Spans {
+		if sp.Stage != rtrace.StageRouterAttempt {
+			continue
+		}
+		if !ids[sp.Parent] {
+			t.Fatalf("attempt span %x hangs under %x, outside its trace", sp.ID, sp.Parent)
+		}
+		switch {
+		case sp.Flags&rtrace.FlagError != 0:
+			failed = append(failed, sp.ID)
+		case sp.Flags&rtrace.FlagWinner != 0:
+			won = append(won, sp.ID)
+		}
+	}
+	if len(failed) != 1 || len(won) != 1 {
+		t.Fatalf("attempt spans: %d failed, %d winners, want one of each", len(failed), len(won))
+	}
+	// The surviving replica joined the same trace under the replay.
+	reps := replicaStore.Retained()
+	if len(reps) != 1 || reps[0].ID != tr.ID || reps[0].RemoteParent != won[0] {
+		t.Fatalf("replica traces %+v, want one under trace %s parented by attempt %x", reps, tr.ID, won[0])
+	}
+
+	if _, covered := tr.Attribution(); covered < 0.95 {
+		t.Fatalf("attribution covers %.1f%% of the replayed request's %s, want >= 95%%",
+			100*covered, time.Duration(tr.Dur))
+	}
+
+	for _, view := range []string{"/debug/traces", "/debug/traces?format=perfetto"} {
+		resp, err := http.Get(front.URL + view)
+		if err != nil {
+			t.Fatalf("GET %s: %v", view, err)
+		}
+		page, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || !bytes.Contains(page, []byte(traceID)) {
+			t.Fatalf("GET %s does not show trace %s (read error %v)", view, traceID, err)
 		}
 	}
 }

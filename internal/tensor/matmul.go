@@ -161,32 +161,3 @@ func MatMulTransB(dst, a, b *Tensor) {
 	}
 	gemmParallel(dst.data, a.data, b.data, m, k, n, false, true, false, nil)
 }
-
-// MatMulNaive is the pre-blocking j-inner kernel, kept as the reference
-// implementation for correctness tests and for measuring the blocked
-// engine's speedup (cmd/bench-kernels). It streams all of b from memory
-// for every output row, which is exactly the behavior the packed kernels
-// exist to avoid.
-func MatMulNaive(dst, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 || dst.shape[0] != m || dst.shape[1] != n {
-		panic("tensor: MatMulNaive shape mismatch")
-	}
-	ad, bd, dd := a.data, b.data, dst.data
-	parallelFor(m, 8, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			drow := dd[i*n : (i+1)*n]
-			for j := range drow {
-				drow[j] = 0
-			}
-			arow := ad[i*k : (i+1)*k]
-			for p, av := range arow {
-				brow := bd[p*n : (p+1)*n]
-				for j, bv := range brow {
-					drow[j] += av * bv
-				}
-			}
-		}
-	})
-}

@@ -144,7 +144,9 @@ func (s *Store) Start(traceparent string) *Active {
 
 // sampleHit is the deterministic probabilistic decision: a pure
 // function of the trace ID, so every process along the request's path
-// reaches the same verdict for the "unremarkable" class.
+// reaches the same verdict for the "unremarkable" class. The ID is
+// hashed first: a client may send traceparent IDs whose halves are
+// counters or zero, and raw bits of those would keep all or none.
 func (s *Store) sampleHit(id TraceID) bool {
 	rate := s.cfg.SampleRate
 	if rate <= 0 {
@@ -153,7 +155,18 @@ func (s *Store) sampleHit(id TraceID) bool {
 	if rate >= 1 {
 		return true
 	}
-	return id.Lo>>11 < uint64(rate*(1<<53))
+	return mix64(mix64(id.Hi)+id.Lo)>>11 < uint64(rate*(1<<53))
+}
+
+// mix64 is the Murmur3 finalizer: every input bit reaches every output
+// bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // Finish completes the request: the root span is sealed with status,

@@ -68,6 +68,32 @@ func TestTailSamplingKeepClasses(t *testing.T) {
 	}
 }
 
+// TestSampleRateHoldsForStructuredIDs: the probabilistic class keeps its
+// configured share of traces whatever shape the client's IDs have. Raw
+// low bits of a counter or a zero half would keep every trace.
+func TestSampleRateHoldsForStructuredIDs(t *testing.T) {
+	const n, rate = 20000, 0.01
+	s := NewStore(Config{SampleRate: rate, SlowPct: -1})
+	for _, tc := range []struct {
+		name string
+		id   func(i uint64) TraceID
+	}{
+		{"sequential", func(i uint64) TraceID { return TraceID{Hi: 1, Lo: i + 1} }},
+		{"all-zero-low", func(i uint64) TraceID { return TraceID{Hi: i + 1} }},
+		{"high-bits-only", func(i uint64) TraceID { return TraceID{Hi: (i + 1) << 40, Lo: (i + 1) << 40} }},
+	} {
+		kept := 0
+		for i := uint64(0); i < n; i++ {
+			if s.sampleHit(tc.id(i)) {
+				kept++
+			}
+		}
+		if share := float64(kept) / n; share < rate/2 || share > rate*2 {
+			t.Errorf("%s ids: kept %d of %d (%.2f%%), want 0.5-2%%", tc.name, kept, n, 100*share)
+		}
+	}
+}
+
 // TestSlowClassRetainsTail warms the latency window with fast requests,
 // then checks that an order-of-magnitude straggler is retained as
 // "slow" once the threshold arms.

@@ -213,8 +213,8 @@ func (s *Session) RunSteps(n int) (float64, error) {
 		if cfg.LRDecayEvery > 0 {
 			schedule.Apply(s.Opt, s.Step)
 		}
+		stepStart := time.Now() // the loader is part of the step a caller waits for
 		batch := s.Loader.Next()
-		stepStart := time.Now()
 		stepSpan := rec.Now()
 		s.Opt.ZeroGrad()
 		fwdSpan := rec.Now()

@@ -1,6 +1,7 @@
 package trainer
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 )
@@ -22,6 +23,31 @@ func TestSessionRunsSteps(t *testing.T) {
 	}
 	if _, err := s.RunSteps(-1); err == nil {
 		t.Fatal("negative steps should fail")
+	}
+}
+
+// TestStatsImagesPerSecCountsLoader: Stats.ImagesPerSec is images over
+// the time a caller waits for them, data loading included. Large
+// procedural images under a one-block model make the loader most of a
+// step, so a clock that starts after Loader.Next reads several times the
+// wall-clock rate.
+func TestStatsImagesPerSecCountsLoader(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Data.Height, cfg.Data.Width = 192, 192
+	cfg.BatchSize = 1
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 30
+	if _, err := s.RunSteps(steps); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	got, want := st.ImagesPerSec*st.WallSeconds, float64(steps*cfg.BatchSize)
+	if math.Abs(got-want) > 0.10*want {
+		t.Fatalf("ImagesPerSec %.1f x WallSeconds %.3f = %.1f images, trained %g",
+			st.ImagesPerSec, st.WallSeconds, got, want)
 	}
 }
 
