@@ -85,6 +85,5 @@ func main() {
 			experiments.RunStrongScaling(collective.BackendMPI, 512, opt.Steps, nodes),
 			experiments.RunStrongScaling(collective.BackendMPIOpt, 512, opt.Steps, nodes),
 		}))
-		fmt.Println(experiments.FormatCompression(experiments.RunCompressionStudy(32, opt.Steps), 32))
 	}
 }

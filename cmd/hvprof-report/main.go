@@ -1,8 +1,8 @@
 // Command hvprof-report reproduces the paper's profiling workflow
-// (Section III-B): run an EDSR training job for N steps under a chosen
-// tuning with the hvprof profiler attached, and print the allreduce
-// profile organized by message size — the paper's Fig. 14 — plus the
-// default-vs-optimized comparison of Table I.
+// (Section III-B): trace a simulated EDSR training job for N steps under
+// the default and the optimized MPI configuration, and print the
+// allreduce profile organized by message size — the paper's Fig. 14 —
+// plus the default-vs-optimized comparison of Table I.
 //
 // Usage:
 //
@@ -20,8 +20,8 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
-	"repro/internal/hvprof"
+	"repro/internal/collective"
+	"repro/internal/scaling"
 	"repro/internal/trace"
 )
 
@@ -61,23 +61,25 @@ func main() {
 		return
 	}
 
+	profile := func(b collective.Backend) (trace.Report, scaling.Result) {
+		s := trace.NewSession(0)
+		res := scaling.Run(scaling.Options{Nodes: *nodes, Backend: b, Steps: *steps, Trace: s.Recorder(0)})
+		return s.Timeline().HvprofReport(), res
+	}
+
 	fmt.Printf("hvprof: EDSR, %d node(s) x 4 GPUs, %d steps\n\n", *nodes, *steps)
-	defRep, defRes := core.Profile(core.ProfileOptions{
-		Nodes: *nodes, Steps: *steps, Tuning: core.DefaultTuning(),
-	})
+	defRep, defRes := profile(collective.BackendMPI)
 	fmt.Printf("== default MPI (CUDA_VISIBLE_DEVICES pinned, no reg cache) ==\n")
 	fmt.Printf("throughput: %.1f img/s\n%s\n", defRes.ImagesPerSec, defRep.String())
 
 	if !*compare {
 		return
 	}
-	optRep, optRes := core.Profile(core.ProfileOptions{
-		Nodes: *nodes, Steps: *steps, Tuning: core.OptimizedTuning(),
-	})
+	optRep, optRes := profile(collective.BackendMPIOpt)
 	fmt.Printf("== MPI-Opt (MV2_VISIBLE_DEVICES split + reg cache) ==\n")
 	fmt.Printf("throughput: %.1f img/s\n%s\n", optRes.ImagesPerSec, optRep.String())
 
-	rows := hvprof.Compare(defRep, optRep, "allreduce")
-	fmt.Println(hvprof.FormatCompare(rows, "MPI_Allreduce"))
+	rows := trace.Compare(defRep, optRep, "allreduce")
+	fmt.Println(trace.FormatCompare(rows, "MPI_Allreduce"))
 	fmt.Println("(compare with the paper's Table I: 53.1% / 49.7% on the large buckets, 45.4% total)")
 }

@@ -6,8 +6,12 @@
 // Usage:
 //
 //	scalesim [-backends MPI,MPI-Reg,MPI-Opt,NCCL] [-nodes 1,2,4,...]
-//	         [-steps N] [-cycle ms] [-fusion MB] [-profile]
+//	         [-steps N] [-cycle ms] [-fusion MB] [-profile] [-trace FILE]
 //	         [-compress none|fp16|topk] [-topk-ratio N]
+//
+// -trace writes the first run's rank-0 timeline (virtual time) as Chrome
+// trace_event JSON, the format edsr-train -trace writes for a real run,
+// so the two load side by side in Perfetto.
 package main
 
 import (
@@ -18,8 +22,8 @@ import (
 	"strings"
 
 	"repro/internal/collective"
-	"repro/internal/hvprof"
 	"repro/internal/scaling"
+	"repro/internal/trace"
 )
 
 func main() {
@@ -31,7 +35,7 @@ func main() {
 	compress := flag.String("compress", "none", "gradient compression: none, fp16, or topk")
 	topkRatio := flag.Int("topk-ratio", 32, "top-k compression ratio (elements kept = n/ratio)")
 	profile := flag.Bool("profile", false, "print the hvprof bucket report per run")
-	timeline := flag.Bool("timeline", false, "render an ASCII timeline of the first two steps")
+	traceOut := flag.String("trace", "", "write the first run's timeline as Chrome trace JSON to this file")
 	csvOut := flag.String("csv", "", "also write results as CSV to this file")
 	flag.Parse()
 
@@ -71,6 +75,16 @@ func main() {
 		fmt.Fprintln(csvFile, "backend,gpus,images_per_sec,efficiency,step_ms,msgs_per_step,reg_hit_rate,wire_reduction")
 	}
 
+	var traceFile *os.File
+	if *traceOut != "" {
+		var err error
+		traceFile, err = os.Create(*traceOut)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
+
 	base := scaling.SingleGPUBaseline(0)
 	fmt.Printf("Simulated Lassen scaling study — EDSR (B=32, F=256, x2), batch 4/GPU\n")
 	fmt.Printf("Single-GPU baseline: %.2f images/sec (paper: 10.3)\n", base)
@@ -95,15 +109,10 @@ func main() {
 				Compression:          comp,
 				TopKRatio:            *topkRatio,
 			}
-			var prof *hvprof.Profiler
-			if *profile {
-				prof = hvprof.New()
-				opt.Prof = prof
-			}
-			var tl *hvprof.Timeline
-			if *timeline {
-				tl = hvprof.NewTimeline()
-				opt.Trace = tl
+			var sess *trace.Session
+			if *profile || traceFile != nil {
+				sess = trace.NewSession(0)
+				opt.Trace = sess.Recorder(0)
 			}
 			r := scaling.Run(opt)
 			wireX := 1.0
@@ -119,11 +128,19 @@ func main() {
 					b, r.GPUs, r.ImagesPerSec, scaling.Efficiency(r, base),
 					r.StepSec*1000, float64(r.Messages)/float64(*steps), r.RegCacheHitRate(), wireX)
 			}
-			if prof != nil {
-				fmt.Println(prof.Report().String())
+			if *profile {
+				fmt.Println(sess.Timeline().HvprofReport().String())
 			}
-			if tl != nil {
-				fmt.Println(tl.Render(0, 2.2*r.StepSec, 100))
+			if traceFile != nil {
+				err := sess.Timeline().WriteChromeTrace(traceFile)
+				if cerr := traceFile.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					os.Exit(1)
+				}
+				traceFile = nil // only the first run is traced
 			}
 		}
 		fmt.Println()

@@ -21,9 +21,10 @@
 //     CUDA-IPC visibility rules, registration cache — for the 512-GPU
 //     scaling study (internal/simnet, internal/cluster,
 //     internal/collective, internal/scaling, internal/perfmodel);
-//   - the hvprof communication profiler (internal/hvprof) shared by both
-//     paths, and the experiment harness (internal/experiments) that prints
-//     every figure with the paper's values alongside.
+//   - one span model (internal/trace) recorded by both paths, whose
+//     hvprof report is the paper's communication profile, and the
+//     experiment harness (internal/experiments) that prints every figure
+//     with the paper's values alongside.
 //
 // Entry points: the executables under cmd/, the runnable examples under
 // examples/, and the per-figure benchmarks in bench_test.go. See README.md

@@ -1,26 +1,28 @@
-// Profiling: attach the hvprof profiler to real in-process MPI collectives
-// — the paper's Section III-B workflow in miniature. The example runs a
-// few real fused allreduces of different sizes through the Horovod engine
-// and prints the resulting message-size bucket report, then shows the
-// Table I-style comparison between two simulated tunings.
+// Profiling: trace real in-process MPI collectives and read them as
+// hvprof bucket tables — the paper's Section III-B workflow in miniature.
+// The example runs a few real fused allreduces of different sizes through
+// the Horovod engine and prints the message-size bucket report derived
+// from the recorded spans, then shows the Table I-style comparison
+// between two simulated backends, derived the same way.
 package main
 
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/collective"
 	"repro/internal/horovod"
-	"repro/internal/hvprof"
 	"repro/internal/mpi"
+	"repro/internal/scaling"
+	"repro/internal/trace"
 )
 
 func main() {
 	// Part 1 — profile REAL collectives: 4 ranks run fused allreduces on
-	// real float32 buffers; every MPI call lands in the profiler.
-	prof := hvprof.New()
+	// real float32 buffers; every MPI call lands in the rank's recorder.
+	sess := trace.NewSession(0)
 	world := mpi.NewWorld(4)
 	world.Run(func(comm *mpi.Comm) {
-		comm.Profiler = prof
+		comm.Tracer = sess.Recorder(comm.Rank()).Sink(trace.TrackEngine)
 		engine := horovod.NewEngine(comm, horovod.Config{
 			FusionThresholdBytes: 1 << 20, // 1 MB fusion buffer
 			Average:              true,
@@ -49,12 +51,17 @@ func main() {
 		engine.Shutdown()
 	})
 	fmt.Println("hvprof report for REAL in-process MPI traffic (4 ranks, 3 steps):")
-	fmt.Println(prof.Report().String())
+	fmt.Println(sess.Timeline().HvprofReport().String())
 
-	// Part 2 — the paper's diagnostic payoff: the same profiler applied
-	// to the simulated cluster exposes where default MPI loses time.
+	// Part 2 — the paper's diagnostic payoff: the same report over the
+	// simulated cluster's timeline exposes where default MPI loses time.
 	fmt.Println("Table I-style comparison on the simulated cluster (default vs MPI-Opt):")
-	rows := core.CompareTunings(core.DefaultTuning(), core.OptimizedTuning(), 1, 25)
-	fmt.Println(hvprof.FormatCompare(rows, "MPI_Allreduce"))
+	profile := func(b collective.Backend) trace.Report {
+		s := trace.NewSession(0)
+		scaling.Run(scaling.Options{Nodes: 1, Backend: b, Steps: 25, Trace: s.Recorder(0)})
+		return s.Timeline().HvprofReport()
+	}
+	rows := trace.Compare(profile(collective.BackendMPI), profile(collective.BackendMPIOpt), "allreduce")
+	fmt.Println(trace.FormatCompare(rows, "MPI_Allreduce"))
 	fmt.Println("(the ≥16 MB buckets improve ~50% once CUDA IPC is restored — the paper's key result)")
 }

@@ -1,37 +1,30 @@
 package collective
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 // Allreduce performs one allreduce of a bytes-sized buffer across all
 // ranks; every rank's engine must call it in the same order. regKey
 // identifies the communication buffer (Horovod's fusion buffer or an
 // unfused tensor) for the registration cache. The call returns when the
-// collective completes on this rank; rank 0 records the profiled duration.
+// collective completes on this rank; rank 0 traces it as a ring (NCCL)
+// or hierarchical (MPI) allreduce span.
 func (g *Group) Allreduce(p *simnet.Proc, rank int, bytes int64, regKey uint64) {
 	inst := g.join(p, rank)
+	cat, run := trace.CatAllreduceHier, g.hierarchical
+	if g.Backend == BackendNCCL {
+		cat, run = trace.CatAllreduceRing, g.flatRing
+	}
 	if g.NumRanks() > 1 {
-		if g.Backend == BackendNCCL {
-			g.flatRing(p, inst, rank, bytes, regKey)
-		} else {
-			g.hierarchical(p, inst, rank, bytes, regKey)
-		}
+		run(p, inst, rank, bytes, regKey)
 	}
 	inst.barrier(p)
-	if rank == 0 {
-		if g.Prof != nil {
-			g.Prof.Record("allreduce", bytes, p.Now()-inst.start)
-		}
-		if g.Trace != nil {
-			g.Trace.Add("comm", fmt.Sprintf("allreduce %dMB", bytes>>20), inst.start, p.Now())
-		}
-	}
-	g.release(inst)
+	g.finish(p, rank, inst, cat, bytes)
 }
 
 // hierarchical is the MVAPICH2-GDR-style two-level design: reduce within
@@ -162,23 +155,15 @@ func (g *Group) Bcast(p *simnet.Proc, rank int, bytes int64, regKey uint64) {
 		}
 	}
 	inst.barrier(p)
-	if rank == 0 {
-		if g.Prof != nil {
-			g.Prof.Record("bcast", bytes, p.Now()-inst.start)
-		}
-		if g.Trace != nil {
-			g.Trace.Add("comm", "bcast", inst.start, p.Now())
-		}
-	}
-	g.release(inst)
+	g.finish(p, rank, inst, trace.CatBcast, bytes)
 }
 
 // Negotiate is Horovod's coordinator round: every rank contributes its
 // local readiness mask; the returned mask is the AND across ranks
 // (tensors ready everywhere). The round costs a latency-bound small
-// allreduce — base·log2(p) plus the mask payload — and is recorded in the
-// profile as a small allreduce, which is what populates the 1–128 KB
-// bucket of the paper's Fig. 14.
+// allreduce — base·log2(p) plus the mask payload. Its "negotiate" span
+// counts as a small allreduce in the hvprof tables, which is what
+// populates the 1–128 KB bucket of the paper's Fig. 14.
 func (g *Group) Negotiate(p *simnet.Proc, rank int, mask []bool) []bool {
 	inst := g.join(p, rank)
 	if inst.maskAND == nil {
@@ -198,14 +183,6 @@ func (g *Group) Negotiate(p *simnet.Proc, rank int, mask []bool) []bool {
 		p.Sleep(dur)
 	}
 	inst.barrier(p)
-	if rank == 0 {
-		if g.Prof != nil {
-			g.Prof.Record("allreduce", bytes, p.Now()-inst.start)
-		}
-		if g.Trace != nil {
-			g.Trace.Add("comm", "negotiate", inst.start, p.Now())
-		}
-	}
-	g.release(inst)
+	g.finish(p, rank, inst, trace.CatNegotiate, bytes)
 	return out
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 // ChunkedRingAllreduce simulates the NCCL flat ring at chunk granularity:
@@ -29,10 +30,7 @@ func (g *Group) ChunkedRingAllreduce(p *simnet.Proc, rank int, bytes int64, numC
 		g.chunkedRing(p, inst, rank, bytes, numChunks)
 	}
 	inst.barrier(p)
-	if rank == 0 && g.Prof != nil {
-		g.Prof.Record("allreduce", bytes, p.Now()-inst.start)
-	}
-	g.release(inst)
+	g.finish(p, rank, inst, trace.CatAllreduceRing, bytes)
 }
 
 // ringStepChans lazily builds per-neighbor rendezvous channels for one

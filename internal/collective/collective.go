@@ -19,9 +19,11 @@ package collective
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 // Backend selects a communication configuration from the paper.
@@ -76,17 +78,6 @@ func (b Backend) UsesRegCache() bool {
 	return b == BackendMPIReg || b == BackendMPIOpt || b == BackendNCCL
 }
 
-// Profiler matches hvprof's recording interface.
-type Profiler interface {
-	Record(op string, bytes int64, seconds float64)
-}
-
-// Tracer receives activity spans for timeline rendering (hvprof.Timeline
-// implements it). Only rank 0's view is traced.
-type Tracer interface {
-	Add(lane, label string, start, end float64)
-}
-
 // Group coordinates collectives among all GPUs of a cluster. Every rank
 // must call each collective in the same order (the Horovod engine
 // guarantees this); ranks synchronize through per-instance barriers.
@@ -96,9 +87,9 @@ type Tracer interface {
 type Group struct {
 	Cl      *cluster.Cluster
 	Backend Backend
-	Prof    Profiler
-	// Trace, when non-nil, receives a span per collective.
-	Trace Tracer
+	// Trace, when non-nil, receives rank 0's view of every collective as
+	// a span on the engine track, in virtual nanoseconds.
+	Trace *trace.Recorder
 
 	// NCCLChunkLatency is the per-ring-step pipeline latency of the flat
 	// ring (two passes of p−1 steps each); it is what makes flat rings
@@ -129,12 +120,12 @@ type instance struct {
 	ring *ringState
 }
 
-// NewGroup creates a coordinator over all GPUs in cl.
-func NewGroup(cl *cluster.Cluster, backend Backend, prof Profiler) *Group {
+// NewGroup creates a coordinator over all GPUs in cl; rec may be nil.
+func NewGroup(cl *cluster.Cluster, backend Backend, rec *trace.Recorder) *Group {
 	g := &Group{
 		Cl:                     cl,
 		Backend:                backend,
-		Prof:                   prof,
+		Trace:                  rec,
 		NCCLChunkLatency:       40e-6,
 		NegotiationBaseLatency: 45e-6,
 		seq:                    make([]int, cl.NumGPUs()),
@@ -166,13 +157,22 @@ func (g *Group) join(p *simnet.Proc, rank int) *instance {
 	return inst
 }
 
-// release drops the instance once every rank has left it.
-func (g *Group) release(inst *instance) {
+// finish records rank 0's span of a completed collective — from the
+// earliest entry to now — and drops the instance once every rank has
+// left it.
+func (g *Group) finish(p *simnet.Proc, rank int, inst *instance, cat trace.Category, bytes int64) {
+	if rank == 0 {
+		start := nanos(inst.start)
+		g.Trace.EmitAt(cat, trace.TrackEngine, start, nanos(p.Now())-start, bytes)
+	}
 	inst.finished++
 	if inst.finished == inst.expected {
 		delete(g.instances, inst.key)
 	}
 }
+
+// nanos converts virtual seconds to the span clock's nanoseconds.
+func nanos(t simnet.Time) int64 { return int64(math.Round(t * 1e9)) }
 
 // barrier blocks until all ranks of the instance reach the same point.
 func (inst *instance) barrier(p *simnet.Proc) {

@@ -5,18 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/hvprof"
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 // runAllreduce executes one allreduce of the given size on a fresh
 // simulated cluster and returns the per-rank completion times and the
-// profiler.
-func runAllreduce(nodes int, backend Backend, bytes int64) ([]simnet.Time, *hvprof.Profiler) {
+// recorded spans.
+func runAllreduce(nodes int, backend Backend, bytes int64) ([]simnet.Time, []trace.Span) {
 	sim := simnet.New()
 	cl := cluster.New(sim, cluster.DefaultConfig(nodes))
-	prof := hvprof.New()
-	g := NewGroup(cl, backend, prof)
+	rec := trace.NewRecorder(0, 16)
+	g := NewGroup(cl, backend, rec)
 	times := make([]simnet.Time, cl.NumGPUs())
 	for r := 0; r < cl.NumGPUs(); r++ {
 		r := r
@@ -26,7 +26,7 @@ func runAllreduce(nodes int, backend Backend, bytes int64) ([]simnet.Time, *hvpr
 		})
 	}
 	sim.RunAll()
-	return times, prof
+	return times, rec.Spans()
 }
 
 func TestAllreduceAllRanksFinishTogether(t *testing.T) {
@@ -44,13 +44,48 @@ func TestAllreduceAllRanksFinishTogether(t *testing.T) {
 }
 
 func TestAllreduceRecordsProfile(t *testing.T) {
-	_, prof := runAllreduce(2, BackendMPIOpt, 40<<20)
-	recs := prof.Records()
-	if len(recs) != 1 {
-		t.Fatalf("records: %d", len(recs))
+	times, spans := runAllreduce(2, BackendMPIOpt, 40<<20)
+	if len(spans) != 1 {
+		t.Fatalf("spans: %d", len(spans))
 	}
-	if recs[0].Op != "allreduce" || recs[0].Bytes != 40<<20 || recs[0].Seconds <= 0 {
-		t.Fatalf("bad record %+v", recs[0])
+	s := spans[0]
+	if s.Cat != trace.CatAllreduceHier || s.Track != trace.TrackEngine || s.Bytes != 40<<20 ||
+		s.Start != 0 || s.Dur != nanos(times[0]) {
+		t.Fatalf("bad span %+v, want hierarchical allreduce over [0, %g s)", s, times[0])
+	}
+}
+
+// TestCollectiveSpanCategories: each simulated collective traces rank
+// 0's view as one engine-track span whose category names the algorithm
+// the backend runs, as the real stack names its spans.
+func TestCollectiveSpanCategories(t *testing.T) {
+	cases := []struct {
+		backend Backend
+		run     func(g *Group, p *simnet.Proc, rank int)
+		want    trace.Category
+	}{
+		{BackendNCCL, func(g *Group, p *simnet.Proc, r int) { g.Allreduce(p, r, 1<<20, 1) }, trace.CatAllreduceRing},
+		{BackendMPI, func(g *Group, p *simnet.Proc, r int) { g.Allreduce(p, r, 1<<20, 1) }, trace.CatAllreduceHier},
+		{BackendMPIOpt, func(g *Group, p *simnet.Proc, r int) { g.AllreduceFP16(p, r, 1<<20, 1) }, trace.CatAllreduceFP16},
+		{BackendNCCL, func(g *Group, p *simnet.Proc, r int) { g.AllreduceTopK(p, r, 1<<20, 32, 1) }, trace.CatAllreduceTopK},
+		{BackendMPI, func(g *Group, p *simnet.Proc, r int) { g.Bcast(p, r, 1<<20, 1) }, trace.CatBcast},
+		{BackendMPI, func(g *Group, p *simnet.Proc, r int) { g.Negotiate(p, r, []bool{true}) }, trace.CatNegotiate},
+		{BackendNCCL, func(g *Group, p *simnet.Proc, r int) { g.ChunkedRingAllreduce(p, r, 1<<20, 2) }, trace.CatAllreduceRing},
+	}
+	for i, c := range cases {
+		sim := simnet.New()
+		cl := cluster.New(sim, cluster.DefaultConfig(2))
+		rec := trace.NewRecorder(0, 4)
+		g := NewGroup(cl, c.backend, rec)
+		for r := 0; r < cl.NumGPUs(); r++ {
+			r := r
+			sim.Spawn("rank", func(p *simnet.Proc) { c.run(g, p, r) })
+		}
+		sim.RunAll()
+		spans := rec.Spans()
+		if len(spans) != 1 || spans[0].Cat != c.want || spans[0].Track != trace.TrackEngine || spans[0].Dur <= 0 {
+			t.Errorf("case %d (%v): spans %+v, want one %v span", i, c.backend, spans, c.want)
+		}
 	}
 }
 
@@ -165,8 +200,8 @@ func TestSequentialCollectivesIndependent(t *testing.T) {
 	// Two allreduces back to back must both complete and be recorded.
 	sim := simnet.New()
 	cl := cluster.New(sim, cluster.DefaultConfig(2))
-	prof := hvprof.New()
-	g := NewGroup(cl, BackendNCCL, prof)
+	rec := trace.NewRecorder(0, 16)
+	g := NewGroup(cl, BackendNCCL, rec)
 	for r := 0; r < 8; r++ {
 		r := r
 		sim.Spawn("rank", func(p *simnet.Proc) {
@@ -175,12 +210,12 @@ func TestSequentialCollectivesIndependent(t *testing.T) {
 		})
 	}
 	sim.RunAll()
-	recs := prof.Records()
-	if len(recs) != 2 {
-		t.Fatalf("records %d", len(recs))
+	spans := rec.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("spans %d", len(spans))
 	}
-	if recs[0].Bytes != 1<<20 || recs[1].Bytes != 2<<20 {
-		t.Fatalf("record order/sizes wrong: %+v", recs)
+	if spans[0].Bytes != 1<<20 || spans[1].Bytes != 2<<20 || spans[1].Start < spans[0].Start+spans[0].Dur {
+		t.Fatalf("span order/sizes wrong: %+v", spans)
 	}
 }
 
@@ -209,8 +244,8 @@ func TestBcastCompletes(t *testing.T) {
 		for _, backend := range []Backend{BackendMPI, BackendMPIOpt} {
 			sim := simnet.New()
 			cl := cluster.New(sim, cluster.DefaultConfig(nodes))
-			prof := hvprof.New()
-			g := NewGroup(cl, backend, prof)
+			rec := trace.NewRecorder(0, 16)
+			g := NewGroup(cl, backend, rec)
 			times := make([]simnet.Time, cl.NumGPUs())
 			for r := 0; r < cl.NumGPUs(); r++ {
 				r := r
@@ -226,9 +261,8 @@ func TestBcastCompletes(t *testing.T) {
 						nodes, backend, r, tt, times[0])
 				}
 			}
-			recs := prof.Records()
-			if len(recs) != 1 || recs[0].Op != "bcast" {
-				t.Fatalf("bcast record missing: %+v", recs)
+			if spans := rec.Spans(); len(spans) != 1 || spans[0].Cat != trace.CatBcast {
+				t.Fatalf("bcast span missing: %+v", spans)
 			}
 		}
 	}

@@ -180,7 +180,7 @@ func (t *TopK) Allreduce(c *mpi.Comm, buf []float32) error {
 			return fmt.Errorf("top-k allreduce: rank %d payload: %w", r, err)
 		}
 	}
-	c.ProfileCollective("allreduce", "allreduce/topk", int64(w)*4, time.Since(start))
+	c.ProfileCollective("allreduce/topk", int64(w)*4, time.Since(start))
 	return nil
 }
 

@@ -1,9 +1,8 @@
 package collective
 
 import (
-	"fmt"
-
 	"repro/internal/simnet"
+	"repro/internal/trace"
 )
 
 // Simulation-side pricing of the compressed allreduce variants, mirroring
@@ -55,15 +54,7 @@ func (g *Group) AllreduceFP16(p *simnet.Proc, rank int, bytes int64, regKey uint
 		g.compressSleep(p, bytes) // unpack to float32
 	}
 	inst.barrier(p)
-	if rank == 0 {
-		if g.Prof != nil {
-			g.Prof.Record("allreduce", wire, p.Now()-inst.start)
-		}
-		if g.Trace != nil {
-			g.Trace.Add("comm", fmt.Sprintf("allreduce fp16 %dMB", wire>>20), inst.start, p.Now())
-		}
-	}
-	g.release(inst)
+	g.finish(p, rank, inst, trace.CatAllreduceFP16, wire)
 	return wire
 }
 
@@ -98,14 +89,6 @@ func (g *Group) AllreduceTopK(p *simnet.Proc, rank int, bytes int64, ratio int, 
 		g.compressSleep(p, int64(pr)*wire) // decode-sum all contributions
 	}
 	inst.barrier(p)
-	if rank == 0 {
-		if g.Prof != nil {
-			g.Prof.Record("allreduce", wire, p.Now()-inst.start)
-		}
-		if g.Trace != nil {
-			g.Trace.Add("comm", fmt.Sprintf("allreduce topk %dKB", wire>>10), inst.start, p.Now())
-		}
-	}
-	g.release(inst)
+	g.finish(p, rank, inst, trace.CatAllreduceTopK, wire)
 	return wire
 }

@@ -11,10 +11,10 @@ import (
 	"strings"
 
 	"repro/internal/collective"
-	"repro/internal/hvprof"
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 	"repro/internal/scaling"
+	"repro/internal/trace"
 )
 
 // Options trades fidelity for runtime: the full configuration matches the
@@ -268,16 +268,17 @@ func (f Fig13) Format() string {
 
 // Fig14 is the hvprof allreduce profile of 100 training steps on 4 GPUs.
 type Fig14 struct {
-	Default, Optimized hvprof.Report
+	Default, Optimized trace.Report
 }
 
-// RunFig14 profiles default and optimized runs.
+// RunFig14 profiles default and optimized runs: each is traced, and the
+// bucket tables are the hvprof report over its timeline.
 func RunFig14(opt Options) Fig14 {
 	opt = opt.withDefaults()
-	run := func(b collective.Backend) hvprof.Report {
-		prof := hvprof.New()
-		scaling.Run(scaling.Options{Nodes: 1, Backend: b, Steps: opt.ProfileSteps, Prof: prof})
-		return prof.Report()
+	run := func(b collective.Backend) trace.Report {
+		s := trace.NewSession(0)
+		scaling.Run(scaling.Options{Nodes: 1, Backend: b, Steps: opt.ProfileSteps, Trace: s.Recorder(0)})
+		return s.Timeline().HvprofReport()
 	}
 	return Fig14{Default: run(collective.BackendMPI), Optimized: run(collective.BackendMPIOpt)}
 }
@@ -292,7 +293,7 @@ func (f Fig14) Format() string {
 
 // TableI compares allreduce time by message-size bucket.
 type TableI struct {
-	Rows []hvprof.CompareRow
+	Rows []trace.CompareRow
 }
 
 // PaperTableI holds the published numbers for side-by-side rendering.
@@ -307,7 +308,7 @@ var PaperTableI = map[string][3]float64{ // bucket → default ms, opt ms, impro
 // RunTableI derives Table I from the Fig. 14 profiles.
 func RunTableI(opt Options) TableI {
 	f := RunFig14(opt)
-	return TableI{Rows: hvprof.Compare(f.Default, f.Optimized, "allreduce")}
+	return TableI{Rows: trace.Compare(f.Default, f.Optimized, "allreduce")}
 }
 
 // TotalImprovement returns the bottom-line improvement percentage.

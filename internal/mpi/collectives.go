@@ -71,7 +71,7 @@ func (c *Comm) Bcast(buf []float32, root int) {
 			c.Recv((vrank-mask+root)%size, tagBcast, buf)
 		}
 	}
-	c.profile("bcast", "bcast", int64(len(buf))*4, time.Since(start))
+	c.profile("bcast", int64(len(buf))*4, time.Since(start))
 }
 
 // Barrier blocks until every rank has entered it (dissemination barrier).
@@ -86,7 +86,7 @@ func (c *Comm) Barrier() {
 		c.Sendrecv(dst, tagBarrier, token[:], src, tagBarrier, token[:])
 		rounds++
 	}
-	c.profile("barrier", "barrier", rounds*4, time.Since(start))
+	c.profile("barrier", rounds*4, time.Since(start))
 }
 
 // allreduceTraceOps are the algorithm-qualified span names indexed by
@@ -111,24 +111,25 @@ func (c *Comm) AllreduceSum(buf []float32, algo AllreduceAlgo) {
 	default:
 		panic(fmt.Sprintf("mpi: unknown allreduce algorithm %d", algo))
 	}
-	c.profile("allreduce", allreduceTraceOps[algo], int64(len(buf))*4, time.Since(start))
+	c.profile(allreduceTraceOps[algo], int64(len(buf))*4, time.Since(start))
 }
 
 // AllreduceMin computes the element-wise minimum across ranks.
 func (c *Comm) AllreduceMin(buf []float32) {
 	start := time.Now()
 	c.recursiveDoubling(buf, minInto)
-	c.profile("allreduce", allreduceTraceOps[AlgoRecursiveDoubling], int64(len(buf))*4, time.Since(start))
+	c.profile(allreduceTraceOps[AlgoRecursiveDoubling], int64(len(buf))*4, time.Since(start))
 }
 
-// NegotiateMin is AllreduceMin recorded under the dedicated "negotiate"
-// profile op. Horovod's coordinator mins readiness masks to find tensors
-// ready on every rank; that is control traffic, and folding it into the
-// "allreduce" op would inflate the apparent payload volume in profiles.
+// NegotiateMin is AllreduceMin traced as its own "negotiate" span.
+// Horovod's coordinator mins readiness masks to find tensors ready on
+// every rank; the timeline shows that control traffic apart from the
+// gradient reductions, while the hvprof tables count it as the small
+// allreduce it is on the wire (trace.Category.HvprofOp).
 func (c *Comm) NegotiateMin(buf []float32) {
 	start := time.Now()
 	c.recursiveDoubling(buf, minInto)
-	c.profile("negotiate", "negotiate", int64(len(buf))*4, time.Since(start))
+	c.profile("negotiate", int64(len(buf))*4, time.Since(start))
 }
 
 // sumInto and minInto delegate to the SIMD-dispatched vector kernels in
@@ -309,7 +310,7 @@ func (c *Comm) Gather(in []float32, out []float32, root int) {
 	} else {
 		c.Send(root, tagGather, in)
 	}
-	c.profile("gather", "gather", int64(len(in))*4, time.Since(start))
+	c.profile("gather", int64(len(in))*4, time.Since(start))
 }
 
 // Allgather concatenates every rank's equal-length contribution on every
@@ -332,5 +333,5 @@ func (c *Comm) Allgather(in []float32, out []float32) {
 			c.Recv(prev, tagAllgather+step, out[recvIdx*len(in):(recvIdx+1)*len(in)])
 		}
 	}
-	c.profile("allgather", "allgather", int64(len(out))*4, time.Since(start))
+	c.profile("allgather", int64(len(out))*4, time.Since(start))
 }

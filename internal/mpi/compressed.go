@@ -33,7 +33,7 @@ func (c *Comm) AllreduceSumFP16(buf []float32) {
 	c.fp16RingAllreduce(buf)
 	// Record the compressed message size: what actually hits the wire,
 	// so hvprof's size buckets tell the compression story.
-	c.profile("allreduce", "allreduce/fp16", int64(tensor.HalfWords(len(buf)))*4, time.Since(start))
+	c.profile("allreduce/fp16", int64(tensor.HalfWords(len(buf)))*4, time.Since(start))
 }
 
 // fp16RingAllreduce is the chunk-pipelined ring of ringAllreduce with a
@@ -128,7 +128,7 @@ func (c *Comm) AllreduceSumNodeAware(buf []float32, fp16 bool) {
 		if fp16 {
 			tensor.QuantizeHalf(buf)
 		}
-		c.profile("allreduce", "allreduce/hier", wireBytesHier(len(buf), fp16), time.Since(start))
+		c.profile("allreduce/hier", wireBytesHier(len(buf), fp16), time.Since(start))
 		return
 	}
 	leader := c.rank - c.rank%gs
@@ -169,7 +169,7 @@ func (c *Comm) AllreduceSumNodeAware(buf []float32, fp16 bool) {
 	} else {
 		c.Recv(leader, tagHier+1, buf)
 	}
-	c.profile("allreduce", "allreduce/hier", wireBytesHier(len(buf), fp16), time.Since(start))
+	c.profile("allreduce/hier", wireBytesHier(len(buf), fp16), time.Since(start))
 }
 
 // wireBytesHier is the recorded message size of the node-aware variant:

@@ -166,26 +166,26 @@ func TestAllreduceSumNodeAware(t *testing.T) {
 }
 
 // TestCompressedAllreduceProfiled: the fp16 and node-aware variants must
-// record themselves under the "allreduce" hvprof op with the compressed
-// wire payload — the message size the paper's bucket tables key on.
+// trace themselves as allreduce spans carrying the compressed wire
+// payload — the message size the paper's bucket tables key on.
 func TestCompressedAllreduceProfiled(t *testing.T) {
 	w := NewWorld(4)
 	w.SetGPUsPerNode(2)
-	prof := &countingProfiler{}
+	tr := &countingTracer{}
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Profiler = prof
+			c.Tracer = tr
 		}
 		buf := make([]float32, 1001)
 		c.AllreduceSumFP16(buf)
 		c.AllreduceSumNodeAware(buf, true)
 	})
-	if prof.ops["allreduce"] != 2 {
-		t.Fatalf("allreduce records: %d, want 2", prof.ops["allreduce"])
-	}
-	wantBytes := 2 * int64(tensor.HalfWords(1001)) * 4
-	if prof.bytes["allreduce"] != wantBytes {
-		t.Fatalf("allreduce bytes: %d, want %d (compressed wire size)", prof.bytes["allreduce"], wantBytes)
+	wantBytes := int64(tensor.HalfWords(1001)) * 4
+	for _, op := range []string{"allreduce/fp16", "allreduce/hier"} {
+		if tr.ops[op] != 1 || tr.bytes[op] != wantBytes {
+			t.Fatalf("%s: %d spans, %d bytes; want 1 span of %d bytes (compressed wire size)",
+				op, tr.ops[op], tr.bytes[op], wantBytes)
+		}
 	}
 }
 

@@ -20,18 +20,11 @@ import (
 	"time"
 )
 
-// Profiler receives a record for every collective a communicator executes.
-// internal/hvprof implements it; a nil profiler disables recording.
-type Profiler interface {
-	Record(op string, bytes int64, seconds float64)
-}
-
 // Tracer receives a span for every collective a communicator executes:
 // the op name (allreduce ops carry their algorithm, e.g.
 // "allreduce/ring"), the payload size, and the duration of a span
-// ending at the moment of the call. internal/trace implements it; both
-// it and Profiler are fed from one timing measurement, so a bucket
-// report derived from the spans matches the profiler's exactly.
+// ending at the moment of the call. internal/trace implements it and
+// derives the hvprof bucket tables from the spans.
 // Implementations must not allocate (they sit on the training hot path)
 // and must be safe for the goroutine that owns the Comm.
 type Tracer interface {
@@ -270,9 +263,8 @@ func (w *World) Run(fn func(c *Comm)) error {
 // Comm values for the same rank (each World.Comm call returns a fresh
 // one) have independent scratch.
 type Comm struct {
-	world    *World
-	rank     int
-	Profiler Profiler
+	world *World
+	rank  int
 	// Tracer, when non-nil, receives a span per collective. Give each
 	// goroutine that runs collectives its own Comm (see Fork) so spans
 	// land on the right timeline track.
@@ -306,7 +298,7 @@ func (c *Comm) workScratch(n int) []float32 {
 }
 
 // Fork returns a new communicator handle for the same rank with
-// independent scratch buffers and its own Profiler/Tracer fields. A
+// independent scratch buffers and its own Tracer field. A
 // background goroutine (the Horovod engine) runs its collectives on a
 // fork so its reductions neither share scratch with, nor mis-attribute
 // trace spans to, the owning goroutine.
@@ -329,13 +321,12 @@ func (c *Comm) SentBytes() int64 { return c.world.sentBytes[c.rank].Load() }
 
 // ProfileCollective reports a custom collective — one built outside this
 // package from the exported primitives, e.g. the compressed variants in
-// internal/collective — to the attached Profiler and Tracer, exactly as
-// the built-in collectives report themselves. op is the hvprof bucket
-// operation ("allreduce"); traceOp the variant-qualified span name
+// internal/collective — to the attached Tracer, exactly as the built-in
+// collectives report themselves. op is the variant-qualified span name
 // ("allreduce/topk"); bytes the compressed payload size that actually
 // travels per message, so hvprof's message-size buckets reflect the wire.
-func (c *Comm) ProfileCollective(op, traceOp string, bytes int64, dur time.Duration) {
-	c.profile(op, traceOp, bytes, dur)
+func (c *Comm) ProfileCollective(op string, bytes int64, dur time.Duration) {
+	c.profile(op, bytes, dur)
 }
 
 // Send delivers a copy of data to dst with the given tag (blocking send
@@ -400,14 +391,10 @@ func (c *Comm) Sendrecv(dst, sendTag int, sendBuf []float32, src, recvTag int, r
 	c.Recv(src, recvTag, recvBuf)
 }
 
-// profile reports one finished collective to the attached Profiler and
-// Tracer from a single duration measurement. op is the hvprof bucket
-// operation; traceOp the (possibly algorithm-qualified) span name.
-func (c *Comm) profile(op, traceOp string, bytes int64, dur time.Duration) {
-	if c.Profiler != nil {
-		c.Profiler.Record(op, bytes, dur.Seconds())
-	}
+// profile reports one finished collective to the attached Tracer. op is
+// the (possibly algorithm-qualified) span name.
+func (c *Comm) profile(op string, bytes int64, dur time.Duration) {
 	if c.Tracer != nil {
-		c.Tracer.RecordSpan(traceOp, bytes, dur)
+		c.Tracer.RecordSpan(op, bytes, dur)
 	}
 }

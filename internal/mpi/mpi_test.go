@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSendRecvBasic(t *testing.T) {
@@ -302,13 +303,14 @@ func TestAllgather(t *testing.T) {
 	}
 }
 
-type countingProfiler struct {
+// countingTracer tallies the spans a Comm reports, by op name.
+type countingTracer struct {
 	mu    sync.Mutex
 	ops   map[string]int
 	bytes map[string]int64
 }
 
-func (p *countingProfiler) Record(op string, bytes int64, seconds float64) {
+func (p *countingTracer) RecordSpan(op string, bytes int64, dur time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.ops == nil {
@@ -321,23 +323,23 @@ func (p *countingProfiler) Record(op string, bytes int64, seconds float64) {
 
 func TestProfilerReceivesRecords(t *testing.T) {
 	w := NewWorld(4)
-	prof := &countingProfiler{}
+	tr := &countingTracer{}
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Profiler = prof
+			c.Tracer = tr
 		}
 		buf := make([]float32, 256)
 		c.AllreduceSum(buf, AlgoRing)
 		c.Bcast(buf, 0)
 	})
-	if prof.ops["allreduce"] != 1 {
-		t.Fatalf("allreduce records: %d", prof.ops["allreduce"])
+	if tr.ops["allreduce/ring"] != 1 {
+		t.Fatalf("allreduce spans: %d", tr.ops["allreduce/ring"])
 	}
-	if prof.bytes["allreduce"] != 1024 {
-		t.Fatalf("allreduce bytes: %d", prof.bytes["allreduce"])
+	if tr.bytes["allreduce/ring"] != 1024 {
+		t.Fatalf("allreduce bytes: %d", tr.bytes["allreduce/ring"])
 	}
-	if prof.ops["bcast"] != 1 {
-		t.Fatalf("bcast records: %d", prof.ops["bcast"])
+	if tr.ops["bcast"] != 1 {
+		t.Fatalf("bcast spans: %d", tr.ops["bcast"])
 	}
 }
 

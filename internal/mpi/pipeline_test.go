@@ -93,11 +93,11 @@ func TestSendRecvSteadyStateZeroAlloc(t *testing.T) {
 // bypassed the profiler entirely.
 func TestBarrierAndGatherProfiled(t *testing.T) {
 	w := NewWorld(4)
-	prof := &countingProfiler{}
+	tr := &countingTracer{}
 	out := make([]float32, 4)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Profiler = prof
+			c.Tracer = tr
 		}
 		c.Barrier()
 		in := []float32{float32(c.Rank())}
@@ -107,11 +107,11 @@ func TestBarrierAndGatherProfiled(t *testing.T) {
 			c.Gather(in, nil, 0)
 		}
 	})
-	if prof.ops["barrier"] != 1 {
-		t.Errorf("barrier records: %d, want 1", prof.ops["barrier"])
+	if tr.ops["barrier"] != 1 {
+		t.Errorf("barrier records: %d, want 1", tr.ops["barrier"])
 	}
-	if prof.ops["gather"] != 1 {
-		t.Errorf("gather records: %d, want 1", prof.ops["gather"])
+	if tr.ops["gather"] != 1 {
+		t.Errorf("gather records: %d, want 1", tr.ops["gather"])
 	}
 }
 
@@ -119,31 +119,31 @@ func TestBarrierAndGatherProfiled(t *testing.T) {
 // (trivial) broadcast — the old early return skipped it.
 func TestBcastProfiledSingleRank(t *testing.T) {
 	w := NewWorld(1)
-	prof := &countingProfiler{}
+	tr := &countingTracer{}
 	w.Run(func(c *Comm) {
-		c.Profiler = prof
+		c.Tracer = tr
 		buf := make([]float32, 8)
 		c.Bcast(buf, 0)
 		c.Allgather(buf, buf[:8])
 	})
-	if prof.ops["bcast"] != 1 {
-		t.Errorf("bcast records: %d, want 1", prof.ops["bcast"])
+	if tr.ops["bcast"] != 1 {
+		t.Errorf("bcast records: %d, want 1", tr.ops["bcast"])
 	}
-	if prof.ops["allgather"] != 1 {
-		t.Errorf("allgather records: %d, want 1", prof.ops["allgather"])
+	if tr.ops["allgather"] != 1 {
+		t.Errorf("allgather records: %d, want 1", tr.ops["allgather"])
 	}
 }
 
 // TestNegotiateMin checks the dedicated negotiation collective: same min
-// semantics as AllreduceMin, recorded under the "negotiate" op.
+// semantics as AllreduceMin, traced as its own "negotiate" span.
 func TestNegotiateMin(t *testing.T) {
 	w := NewWorld(4)
-	prof := &countingProfiler{}
+	tr := &countingTracer{}
 	var mu sync.Mutex
 	results := make([][]float32, 4)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Profiler = prof
+			c.Tracer = tr
 		}
 		mask := []float32{1, 1, 1, 1}
 		mask[c.Rank()] = 0
@@ -159,10 +159,7 @@ func TestNegotiateMin(t *testing.T) {
 			}
 		}
 	}
-	if prof.ops["negotiate"] != 1 {
-		t.Errorf("negotiate records: %d, want 1", prof.ops["negotiate"])
-	}
-	if prof.ops["allreduce"] != 0 {
-		t.Errorf("negotiation leaked into allreduce op: %d records", prof.ops["allreduce"])
+	if tr.ops["negotiate"] != 1 || len(tr.ops) != 1 {
+		t.Errorf("spans %v, want one negotiate", tr.ops)
 	}
 }

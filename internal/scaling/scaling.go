@@ -3,8 +3,9 @@
 // node count it simulates data-parallel EDSR training — per-rank compute
 // processes emitting gradients through a Horovod-style engine whose fused
 // allreduces execute on the discrete-event machine model — and reports
-// throughput, scaling efficiency, and an hvprof-compatible communication
-// profile.
+// throughput, scaling efficiency, and — through an optional
+// trace.Recorder — the same span timeline a real run records, from which
+// the hvprof communication profile is derived.
 package scaling
 
 import (
@@ -18,6 +19,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
+	"repro/internal/trace"
 )
 
 // Options configures one simulated training run.
@@ -47,17 +49,11 @@ type Options struct {
 	// CycleTimeSec is HOROVOD_CYCLE_TIME (the paper tunes it per scale to
 	// maximize throughput; default 10 ms).
 	CycleTimeSec float64
-	// FP16Gradients halves every gradient payload (Horovod's fp16
-	// compression) — the future-work lever that shrinks EDSR's messages,
-	// sometimes below the large-message IPC threshold.
-	FP16Gradients bool
 	// Compression prices the gradient-compression variants of the real
 	// communication path (internal/collective) on the cluster model:
 	// fp16 halves wire payloads and pays pack/unpack kernel passes; topk
 	// ships ~1/TopKRatio of each bucket as index+value payloads over a
-	// sparse ring allgather. Unlike the coarse FP16Gradients knob (which
-	// only halves the negotiated message sizes), these charge the
-	// compression compute and reshape the traffic pattern.
+	// sparse ring allgather.
 	Compression collective.Compression
 	// TopKRatio is the top-k sparsification ratio (default 32).
 	TopKRatio int
@@ -69,11 +65,11 @@ type Options struct {
 	// Cluster overrides the machine parameters (default: calibrated
 	// Lassen-like DefaultConfig).
 	Cluster *cluster.Config
-	// Prof, when non-nil, receives every simulated collective.
-	Prof collective.Profiler
-	// Trace, when non-nil, receives activity spans (rank 0's collectives
-	// plus compute phases) for timeline rendering.
-	Trace collective.Tracer
+	// Trace, when non-nil, records rank 0's timeline in virtual time:
+	// forward, backward and sync-wait (drain) spans on the trainer track,
+	// every collective on the engine track. Its hvprof report is the
+	// run's communication profile.
+	Trace *trace.Recorder
 }
 
 // withDefaults fills unset fields.
@@ -156,8 +152,7 @@ func Run(opt Options) Result {
 		ccfg.Nodes = opt.Nodes
 	}
 	cl := cluster.New(sim, ccfg)
-	group := collective.NewGroup(cl, opt.Backend, opt.Prof)
-	group.Trace = opt.Trace
+	group := collective.NewGroup(cl, opt.Backend, opt.Trace)
 	p := cl.NumGPUs()
 
 	layout := perfmodel.GradLayout(opt.Model)
@@ -169,9 +164,6 @@ func Run(opt Options) Result {
 	for i := range layout {
 		rev := layout[nt-1-i]
 		sizes[i] = rev.Bytes()
-		if opt.FP16Gradients {
-			sizes[i] /= 2
-		}
 		revNames[i] = rev.Name
 	}
 
@@ -218,8 +210,8 @@ func Run(opt Options) Result {
 				st.stepWG = pc.Sim().NewWaitGroup(nt)
 				computeStart := pc.Now()
 				pc.Sleep(fwd * jitter)
-				if r == 0 && opt.Trace != nil {
-					opt.Trace.Add("compute", "forward", computeStart, pc.Now())
+				if r == 0 {
+					span(opt.Trace, trace.CatForward, computeStart, pc.Now())
 				}
 				bwdStart := pc.Now()
 				prev := 0.0
@@ -230,13 +222,13 @@ func Run(opt Options) Result {
 						st.ready[id] = true
 					}
 				}
-				if r == 0 && opt.Trace != nil {
-					opt.Trace.Add("compute", "backward", bwdStart, pc.Now())
+				if r == 0 {
+					span(opt.Trace, trace.CatBackward, bwdStart, pc.Now())
 				}
 				waitStart := pc.Now()
 				st.stepWG.Wait(pc)
-				if r == 0 && opt.Trace != nil && pc.Now() > waitStart {
-					opt.Trace.Add("compute", "sync-wait", waitStart, pc.Now())
+				if r == 0 && pc.Now() > waitStart {
+					span(opt.Trace, trace.CatDrain, waitStart, pc.Now())
 				}
 				if r == 0 && step == totalSteps-1 {
 					measureEnd = pc.Now()
@@ -309,6 +301,13 @@ func Run(opt Options) Result {
 	return res
 }
 
+// span records one compute phase [start, end) of rank 0 on the trainer
+// track, in virtual nanoseconds.
+func span(rec *trace.Recorder, cat trace.Category, start, end simnet.Time) {
+	s := int64(math.Round(start * 1e9))
+	rec.EmitAt(cat, trace.TrackMain, s, int64(math.Round(end*1e9))-s, 0)
+}
+
 // regKeyFor identifies the communication buffer a fusion group travels in.
 // Multi-tensor groups ride Horovod's single reusable fusion buffer, but a
 // registration covers (address, length): a group shorter than the buffer
@@ -344,15 +343,16 @@ func SingleGPUBaseline(batch int) float64 {
 }
 
 // Sweep runs one backend across the paper's node counts (1→128 nodes,
-// i.e. 4→512 GPUs) and returns results in order.
-func Sweep(backend collective.Backend, nodeCounts []int, steps int, prof collective.Profiler) []Result {
+// i.e. 4→512 GPUs) and returns results in order. rec, when non-nil,
+// records every run, each starting at virtual time zero.
+func Sweep(backend collective.Backend, nodeCounts []int, steps int, rec *trace.Recorder) []Result {
 	results := make([]Result, 0, len(nodeCounts))
 	for _, n := range nodeCounts {
 		results = append(results, Run(Options{
 			Nodes:   n,
 			Backend: backend,
 			Steps:   steps,
-			Prof:    prof,
+			Trace:   rec,
 		}))
 	}
 	return results

@@ -6,10 +6,22 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/collective"
-	"repro/internal/hvprof"
 	"repro/internal/models"
 	"repro/internal/perfmodel"
+	"repro/internal/trace"
 )
+
+// profile runs opt traced and returns the hvprof report of its timeline.
+func profile(t *testing.T, opt Options) trace.Report {
+	t.Helper()
+	s := trace.NewSession(0)
+	opt.Trace = s.Recorder(0)
+	Run(opt)
+	if d := opt.Trace.Dropped(); d != 0 {
+		t.Fatalf("%d spans dropped", d)
+	}
+	return s.Timeline().HvprofReport()
+}
 
 func TestRunBasic(t *testing.T) {
 	r := Run(Options{Nodes: 1, Backend: collective.BackendMPIOpt, Steps: 3})
@@ -21,6 +33,30 @@ func TestRunBasic(t *testing.T) {
 	}
 	if r.Messages == 0 || r.FusedBytes == 0 {
 		t.Fatalf("no messages recorded: %+v", r)
+	}
+}
+
+// TestTraceRecordsComputePhases: rank 0's compute phases land on the
+// trainer track (one forward and one backward per step, warmup
+// included; drain only where the step waited), its collectives on the
+// engine track.
+func TestTraceRecordsComputePhases(t *testing.T) {
+	rec := trace.NewRecorder(0, 0)
+	Run(Options{Nodes: 2, Backend: collective.BackendMPI, Steps: 3, Trace: rec})
+	cats := map[trace.Category]int{}
+	for _, s := range rec.Spans() {
+		cats[s.Cat]++
+		_, comm := s.Cat.HvprofOp()
+		if comm != (s.Track == trace.TrackEngine) {
+			t.Fatalf("span %v on track %v", s.Cat, s.Track)
+		}
+	}
+	if cats[trace.CatForward] != 4 || cats[trace.CatBackward] != 4 ||
+		cats[trace.CatDrain] == 0 || cats[trace.CatDrain] > 4 {
+		t.Fatalf("compute spans %v, want 4 forward, 4 backward, 1-4 drain", cats)
+	}
+	if cats[trace.CatBcast] != 1 || cats[trace.CatNegotiate] == 0 || cats[trace.CatAllreduceHier] == 0 {
+		t.Fatalf("comm spans %v", cats)
 	}
 }
 
@@ -120,14 +156,12 @@ func TestRegCacheGain(t *testing.T) {
 // TestProfileBucketShape reproduces Table I's shape at 4 GPUs: large
 // buckets improve ~50%, small buckets ~0, total ~45%.
 func TestProfileBucketShape(t *testing.T) {
-	run := func(b collective.Backend) hvprof.Report {
-		prof := hvprof.New()
-		Run(Options{Nodes: 1, Backend: b, Steps: 20, Prof: prof})
-		return prof.Report()
+	run := func(b collective.Backend) trace.Report {
+		return profile(t, Options{Nodes: 1, Backend: b, Steps: 20})
 	}
 	def, opt := run(collective.BackendMPI), run(collective.BackendMPIOpt)
-	rows := hvprof.Compare(def, opt, "allreduce")
-	byBucket := map[string]hvprof.CompareRow{}
+	rows := trace.Compare(def, opt, "allreduce")
+	byBucket := map[string]trace.CompareRow{}
 	for _, r := range rows {
 		byBucket[r.Bucket] = r
 	}
@@ -146,9 +180,7 @@ func TestProfileBucketShape(t *testing.T) {
 }
 
 func TestMessagesLandInExpectedBuckets(t *testing.T) {
-	prof := hvprof.New()
-	Run(Options{Nodes: 1, Backend: collective.BackendMPIOpt, Steps: 5, Prof: prof})
-	rep := prof.Report()
+	rep := profile(t, Options{Nodes: 1, Backend: collective.BackendMPIOpt, Steps: 5})
 	ar := rep.PerOp["allreduce"]
 	if ar == nil {
 		t.Fatal("no allreduce records")
@@ -168,12 +200,10 @@ func TestMessagesLandInExpectedBuckets(t *testing.T) {
 }
 
 func TestSmallerModelFusesSmaller(t *testing.T) {
-	prof := hvprof.New()
-	Run(Options{
+	rep := profile(t, Options{
 		Nodes: 1, Backend: collective.BackendMPIOpt, Steps: 3,
-		Model: models.EDSRBaseline(), Prof: prof,
+		Model: models.EDSRBaseline(),
 	})
-	rep := prof.Report()
 	ar := rep.PerOp["allreduce"]
 	// EDSR-baseline has ~5 MB of gradients: nothing above 16 MB.
 	if ar[2].Count != 0 || ar[3].Count != 0 || ar[4].Count != 0 {

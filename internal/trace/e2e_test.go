@@ -7,11 +7,14 @@ package trace_test
 
 import (
 	"bytes"
-	"encoding/json"
+	"reflect"
 	"testing"
 
+	"repro/internal/collective"
 	"repro/internal/data"
+	"repro/internal/experiments"
 	"repro/internal/models"
+	"repro/internal/scaling"
 	"repro/internal/trace"
 	"repro/internal/trainer"
 )
@@ -71,41 +74,34 @@ func TestTracedDistributedTraining(t *testing.T) {
 	}
 
 	// The exported Chrome trace must be valid trace_event JSON.
-	var buf bytes.Buffer
-	if err := tl.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			Pid  int     `json:"pid"`
-			Ts   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("exported trace is not valid JSON: %v", err)
-	}
-	pids := map[int]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Name == "" || ev.Ph == "" || ev.Ts < 0 || ev.Dur < 0 {
-			t.Fatalf("malformed event %+v", ev)
-		}
-		if ev.Ph != "M" {
-			pids[ev.Pid] = true
-		}
-	}
-	if len(pids) != world {
-		t.Fatalf("trace events cover %d ranks, want %d", len(pids), world)
+	if threads := trace.CheckChromeTrace(t, tl); len(threads) != 2*world {
+		t.Fatalf("thread names %v, want trainer and engine on %d ranks", threads, world)
 	}
 
-	// The span-derived hvprof report sees the run's collectives.
+	// The span-derived hvprof report sees the run's collectives, and
+	// every negotiation round lands in the allreduce 1-128 KB bucket.
 	rep := tl.HvprofReport()
-	for _, op := range []string{"allreduce", "negotiate", "bcast"} {
+	for _, op := range []string{"allreduce", "bcast"} {
 		if rep.TotalSeconds(op) <= 0 {
 			t.Errorf("span-derived report: no %s time", op)
 		}
+	}
+	negotiations, small := 0, 0
+	for _, rt := range tl.Ranks {
+		for _, s := range rt.Spans {
+			if s.Cat == trace.CatNegotiate {
+				negotiations++
+			} else if op, _ := s.Cat.HvprofOp(); op == "allreduce" && trace.BucketOf(s.Bytes) == 0 {
+				small++
+			}
+		}
+	}
+	if negotiations == 0 {
+		t.Fatal("no negotiation spans")
+	}
+	if got := rep.PerOp["allreduce"][0].Count; got != negotiations+small {
+		t.Errorf("allreduce 1-128 KB calls %d, want %d negotiations + %d small allreduces",
+			got, negotiations, small)
 	}
 
 	// Live metrics reflect the run: world-size gauge, per-step counts.
@@ -163,5 +159,43 @@ func TestTracedCheckpointRoundTrip(t *testing.T) {
 	}
 	if _, _, err := trainer.LoadCheckpoint(path); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSimulatedTimeline: the cluster simulator records the same span
+// model as a real run, so its timeline survives the JSONL round trip,
+// exports as a Chrome trace with the real run's process and thread
+// layout, and yields exactly the Fig. 14 bucket report.
+func TestSimulatedTimeline(t *testing.T) {
+	const steps = 5
+	s := trace.NewSession(0)
+	scaling.Run(scaling.Options{Nodes: 1, Backend: collective.BackendMPIOpt, Steps: steps, Trace: s.Recorder(0)})
+	if d := s.Recorder(0).Dropped(); d != 0 {
+		t.Fatalf("%d spans dropped", d)
+	}
+	tl := s.Timeline()
+
+	var buf bytes.Buffer
+	if err := tl.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := trace.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tl, back) {
+		t.Fatal("simulated timeline changed over the JSONL round trip")
+	}
+
+	threads := trace.CheckChromeTrace(t, back)
+	if len(back.Ranks) != 1 || back.Ranks[0].Rank != 0 ||
+		threads[[2]int{0, int(trace.TrackMain)}] != "trainer" ||
+		threads[[2]int{0, int(trace.TrackEngine)}] != "horovod-engine" {
+		t.Fatalf("ranks %d, thread names %v: want pid 0 with trainer and horovod-engine", len(back.Ranks), threads)
+	}
+
+	want := experiments.RunFig14(experiments.Options{ProfileSteps: steps}).Optimized
+	if got := back.HvprofReport(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("round-tripped report:\n%s\nFig. 14 MPI-Opt report:\n%s", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/hvprof"
 	"repro/internal/mpi"
 )
 
@@ -70,54 +69,6 @@ func TestGatherReportsDrops(t *testing.T) {
 	for _, rt := range s.Timeline().Ranks {
 		if rt.Dropped != 3 || len(rt.Spans) != 2 {
 			t.Fatalf("rank %d: %d spans, %d dropped", rt.Rank, len(rt.Spans), rt.Dropped)
-		}
-	}
-}
-
-// TestProfilerTracerAgree runs real collectives with BOTH the legacy
-// hvprof profiler and the span tracer attached to the same Comm. The
-// two views come from one timing measurement inside mpi, so the
-// per-op total seconds of the direct hvprof report and of the report
-// derived from the gathered spans must agree to float rounding.
-func TestProfilerTracerAgree(t *testing.T) {
-	const world = 4
-	s := NewSession(0)
-	prof := hvprof.New()
-	w := mpi.NewWorld(world)
-	if err := w.Run(func(c *mpi.Comm) {
-		c.Profiler = prof
-		c.Tracer = s.Recorder(c.Rank()).Sink(TrackMain)
-		buf := make([]float32, 1024)
-		for i := range buf {
-			buf[i] = float32(c.Rank())
-		}
-		c.Bcast(buf[:64], 0)
-		c.AllreduceSum(buf, mpi.AlgoRing)
-		c.AllreduceSum(buf[:128], mpi.AlgoRecursiveDoubling)
-		c.Barrier()
-		s.Gather(c, 0)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	direct := prof.Report()
-	derived := s.Timeline().HvprofReport()
-	ops := direct.Ops()
-	if !reflect.DeepEqual(ops, derived.Ops()) {
-		t.Fatalf("op sets differ: %v vs %v", ops, derived.Ops())
-	}
-	if len(ops) == 0 {
-		t.Fatal("no collectives recorded")
-	}
-	for _, op := range ops {
-		d, g := direct.TotalSeconds(op), derived.TotalSeconds(op)
-		if math.Abs(d-g) > 1e-9*float64(world) {
-			t.Errorf("op %s: direct %.12f s, span-derived %.12f s", op, d, g)
-		}
-		for i, db := range direct.PerOp[op] {
-			gb := derived.PerOp[op][i]
-			if db.Count != gb.Count || db.Bytes != gb.Bytes {
-				t.Errorf("op %s bucket %d: direct %+v, derived %+v", op, i, db, gb)
-			}
 		}
 	}
 }

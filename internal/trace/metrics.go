@@ -398,14 +398,6 @@ var DurationBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30,
 }
 
-// MessageBuckets mirror the hvprof Table I size classes (bytes).
-var MessageBuckets = []float64{
-	128 << 10, // 128 KB
-	16 << 20,  // 16 MB
-	32 << 20,  // 32 MB
-	64 << 20,  // 64 MB
-}
-
 // TrainMetrics bundles the live training instruments the trainer, the
 // Horovod engine, and the elastic driver update. All fields tolerate a
 // nil receiver, and NewTrainMetrics(nil) returns nil, so instrumented

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/hvprof"
 )
 
 // RankTrace is one rank's portion of the merged timeline.
@@ -22,12 +20,14 @@ type Timeline struct {
 	Ranks []RankTrace
 }
 
-// sort orders ranks by id and each rank's spans by start time.
+// sort orders ranks by id and each rank's spans by start time; spans
+// that start together keep their recording order, so a timeline and its
+// JSONL round trip sort identically.
 func (t *Timeline) sort() {
 	sort.Slice(t.Ranks, func(i, j int) bool { return t.Ranks[i].Rank < t.Ranks[j].Rank })
 	for _, rt := range t.Ranks {
 		spans := rt.Spans
-		sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
+		sort.SliceStable(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 	}
 }
 
@@ -72,15 +72,17 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 			Name: "process_name", Ph: "M", Pid: rt.Rank,
 			Args: map[string]any{"name": fmt.Sprintf("rank %d", rt.Rank)},
 		})
-		tracks := map[Track]bool{}
+		var tracks [256]bool
 		for _, s := range rt.Spans {
 			tracks[s.Track] = true
 		}
-		for track := range tracks {
-			evs = append(evs, traceEvent{
-				Name: "thread_name", Ph: "M", Pid: rt.Rank, Tid: int(track),
-				Args: map[string]any{"name": track.String()},
-			})
+		for track, used := range tracks {
+			if used {
+				evs = append(evs, traceEvent{
+					Name: "thread_name", Ph: "M", Pid: rt.Rank, Tid: track,
+					Args: map[string]any{"name": Track(track).String()},
+				})
+			}
 		}
 		for _, s := range rt.Spans {
 			ev := traceEvent{
@@ -188,31 +190,6 @@ func ReadJSONL(r io.Reader) (*Timeline, error) {
 	return t, nil
 }
 
-// Replay feeds every MPI-collective span into p — the hvprof.Profiler
-// interface — deriving the bucket report from the very spans the
-// timeline renders. This is the adapter that keeps the Table I tables
-// and the trace a single source of truth: there is no second
-// instrumentation path to drift from.
-func (t *Timeline) Replay(p interface {
-	Record(op string, bytes int64, seconds float64)
-}) {
-	for _, rt := range t.Ranks {
-		for _, s := range rt.Spans {
-			if op, ok := s.Cat.HvprofOp(); ok {
-				p.Record(op, s.Bytes, float64(s.Dur)/1e9)
-			}
-		}
-	}
-}
-
-// HvprofReport builds the hvprof bucket report from the timeline's
-// collective spans (all ranks merged, like a shared profiler).
-func (t *Timeline) HvprofReport() hvprof.Report {
-	p := hvprof.New()
-	t.Replay(p)
-	return p.Report()
-}
-
 // OverlapStats quantifies how much allreduce time the backward pass
 // hides on one rank: the paper's overlap question ("does submitting
 // gradients during backward actually overlap communication with
@@ -244,8 +221,7 @@ func (t *Timeline) Overlap(rank int) OverlapStats {
 			switch {
 			case s.Cat == CatBackward && s.Track == TrackMain:
 				backward = append(backward, [2]int64{s.Start, s.Start + s.Dur})
-			case s.Track == TrackEngine &&
-				(s.Cat == CatAllreduceRing || s.Cat == CatAllreduceRecDbl || s.Cat == CatAllreduceNaive):
+			case s.Track == TrackEngine && s.Cat.isAllreduce():
 				allreduce = append(allreduce, [2]int64{s.Start, s.Start + s.Dur})
 			case s.Cat == CatDrain:
 				st.DrainSec += float64(s.Dur) / 1e9

@@ -19,6 +19,7 @@ func makeTimeline() *Timeline {
 			{Cat: CatBackward, Track: TrackMain, Start: ms(3), Dur: ms(5)},
 			{Cat: CatGradHook, Track: TrackMain, Start: ms(4), Dur: 0, Bytes: 256},
 			{Cat: CatAllreduceRing, Track: TrackEngine, Start: ms(4), Dur: ms(2), Bytes: 1 << 20},
+			{Cat: CatAllreduceFP16, Track: TrackEngine, Start: ms(6), Dur: ms(1), Bytes: 1 << 19},
 			{Cat: CatAllreduceRing, Track: TrackEngine, Start: ms(9), Dur: ms(2), Bytes: 2 << 20},
 			{Cat: CatDrain, Track: TrackMain, Start: ms(8), Dur: ms(3)},
 		}},
@@ -30,13 +31,25 @@ func makeTimeline() *Timeline {
 	}}
 }
 
-// TestChromeTraceSchema validates the exported JSON against the
+// TestChromeTraceSchema validates the fixture's export against the
+// trace_event contract (CheckChromeTrace).
+func TestChromeTraceSchema(t *testing.T) {
+	threads := CheckChromeTrace(t, makeTimeline())
+	if len(threads) != 4 { // both ranks use both tracks
+		t.Fatalf("thread names %v", threads)
+	}
+}
+
+// CheckChromeTrace exports tl and validates the JSON against the
 // trace_event contract Perfetto expects: a traceEvents array whose
 // entries carry name/ph/pid/tid/ts (dur for complete events, s for
-// instants), non-negative timestamps and durations, metadata naming
-// every rank process and goroutine track, and spans from every rank.
-func TestChromeTraceSchema(t *testing.T) {
-	tl := makeTimeline()
+// instants), non-negative timestamps and durations, metadata ahead of
+// the events naming every rank process and every goroutine track that
+// carries events. It returns the thread names keyed by (pid, tid).
+// Exported for the external e2e tests, which hold real and simulated
+// runs to the same rules.
+func CheckChromeTrace(t *testing.T, tl *Timeline) map[[2]int]string {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := tl.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
@@ -51,61 +64,54 @@ func TestChromeTraceSchema(t *testing.T) {
 	if doc.Unit != "ms" {
 		t.Fatalf("displayTimeUnit %q", doc.Unit)
 	}
-	ranksSeen := map[float64]bool{}
-	processNames := map[float64]bool{}
-	threadNames := 0
-	sawMeta, sawEvent := false, false
+	processNames := map[int]bool{}
+	ranksSeen := map[int]bool{}
+	threadNames := map[[2]int]string{}
 	for i, ev := range doc.TraceEvents {
 		ph, _ := ev["ph"].(string)
 		name, _ := ev["name"].(string)
 		pid, pidOK := ev["pid"].(float64)
-		if name == "" || !pidOK {
-			t.Fatalf("event %d missing name/pid: %v", i, ev)
+		tid, tidOK := ev["tid"].(float64)
+		if name == "" || !pidOK || !tidOK {
+			t.Fatalf("event %d missing name/pid/tid: %v", i, ev)
 		}
+		thread := [2]int{int(pid), int(tid)}
 		switch ph {
 		case "M":
-			if sawEvent {
+			if len(ranksSeen) > 0 {
 				t.Fatalf("metadata event %d after span events (viewers label tracks late)", i)
 			}
-			sawMeta = true
+			label, _ := ev["args"].(map[string]any)["name"].(string)
 			switch name {
 			case "process_name":
-				processNames[pid] = true
+				processNames[int(pid)] = true
 			case "thread_name":
-				threadNames++
+				threadNames[thread] = label
 			}
+			continue
 		case "X":
-			sawEvent = true
 			ts, dur := ev["ts"].(float64), ev["dur"].(float64)
 			if ts < 0 || dur <= 0 {
 				t.Fatalf("event %d: ts %g dur %g", i, ts, dur)
 			}
-			ranksSeen[pid] = true
-			if _, ok := ev["tid"].(float64); !ok {
-				t.Fatalf("event %d missing tid", i)
-			}
 		case "i":
-			sawEvent = true
 			if s, _ := ev["s"].(string); s != "t" {
 				t.Fatalf("instant event %d missing thread scope: %v", i, ev)
 			}
-			ranksSeen[pid] = true
 		default:
 			t.Fatalf("event %d: unknown phase %q", i, ph)
 		}
+		ranksSeen[int(pid)] = true
+		if threadNames[thread] == "" {
+			t.Fatalf("event %d on unnamed thread %v", i, thread)
+		}
 	}
-	if !sawMeta || !sawEvent {
-		t.Fatal("trace missing metadata or span events")
+	for _, rt := range tl.Ranks {
+		if !ranksSeen[rt.Rank] || !processNames[rt.Rank] {
+			t.Fatalf("rank %d: spans %v, process_name %v", rt.Rank, ranksSeen[rt.Rank], processNames[rt.Rank])
+		}
 	}
-	if !ranksSeen[0] || !ranksSeen[1] {
-		t.Fatalf("spans missing for some ranks: %v", ranksSeen)
-	}
-	if !processNames[0] || !processNames[1] {
-		t.Fatalf("process_name metadata missing: %v", processNames)
-	}
-	if threadNames < 3 { // rank 0 has two tracks, rank 1 at least one
-		t.Fatalf("thread_name metadata count %d", threadNames)
-	}
+	return threadNames
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
@@ -159,25 +165,29 @@ func TestHvprofCrossCheck(t *testing.T) {
 			t.Errorf("non-collective op %s leaked into the hvprof report", op)
 		}
 	}
-	if got := rep.TotalSeconds("allreduce"); math.Abs(got-4e-3) > 1e-12 {
-		t.Errorf("allreduce total %g, want 4ms", got)
+	// Ring and fp16 allreduces plus the negotiation round, which counts
+	// as a small allreduce.
+	if got := rep.TotalSeconds("allreduce"); math.Abs(got-6e-3) > 1e-12 {
+		t.Errorf("allreduce total %g, want 6ms", got)
 	}
 }
 
 func TestOverlapMath(t *testing.T) {
 	tl := makeTimeline()
 	st := tl.Overlap(0)
-	// backward [3,8)ms; allreduce [4,6) and [9,11) → overlap [4,6) = 2ms.
+	// backward [3,8)ms; allreduce ring [4,6), fp16 [6,7) and ring [9,11)
+	// → overlap [4,7) = 3ms of 5ms. Every allreduce algorithm counts,
+	// compressed ones included.
 	if math.Abs(st.BackwardSec-5e-3) > 1e-12 {
 		t.Errorf("backward %g", st.BackwardSec)
 	}
-	if math.Abs(st.AllreduceSec-4e-3) > 1e-12 {
+	if math.Abs(st.AllreduceSec-5e-3) > 1e-12 {
 		t.Errorf("allreduce %g", st.AllreduceSec)
 	}
-	if math.Abs(st.OverlapSec-2e-3) > 1e-12 {
+	if math.Abs(st.OverlapSec-3e-3) > 1e-12 {
 		t.Errorf("overlap %g", st.OverlapSec)
 	}
-	if math.Abs(st.HiddenFrac-0.5) > 1e-9 {
+	if math.Abs(st.HiddenFrac-0.6) > 1e-9 {
 		t.Errorf("hidden frac %g", st.HiddenFrac)
 	}
 	if math.Abs(st.DrainSec-3e-3) > 1e-12 {
@@ -186,7 +196,8 @@ func TestOverlapMath(t *testing.T) {
 	if s := FormatOverlap(st); s == "" {
 		t.Fatal("empty format")
 	}
-	// Rank 1 ran no allreduce: fraction must stay 0, not NaN.
+	// Rank 1 ran only a negotiation, which is not gradient traffic: the
+	// fraction must stay 0, not NaN.
 	if st1 := tl.Overlap(1); st1.HiddenFrac != 0 || st1.AllreduceSec != 0 {
 		t.Errorf("rank 1 overlap %+v", st1)
 	}

@@ -11,8 +11,10 @@
 // and merged into one Timeline, exported as Chrome trace_event JSON
 // (one track per rank plus one per engine background goroutine, viewable
 // in Perfetto) and as JSONL for cmd/hvprof-report. The hvprof bucket
-// tables are *derived from the same spans* (Timeline.Replay), so the
-// Table I report and the timeline can never diverge.
+// tables are a report over the same spans (Timeline.HvprofReport), so
+// the Table I report and the timeline can never diverge. The cluster
+// simulator records into the same Recorder in virtual time (EmitAt), so
+// a simulated run and a real one share one span model and one exporter.
 package trace
 
 import (
@@ -143,16 +145,27 @@ func CategoryOf(op string) Category {
 	return CatOther
 }
 
-// HvprofOp returns the hvprof bucket-table operation a category feeds
-// and whether it is an MPI collective at all. All allreduce algorithms
-// fold into "allreduce", matching the ops internal/hvprof aggregates.
-func (c Category) HvprofOp() (string, bool) {
+// isAllreduce reports whether c is an allreduce span of any algorithm
+// (exact or compressed); the negotiation min-allreduce is not one.
+func (c Category) isAllreduce() bool {
 	switch c {
 	case CatAllreduceRing, CatAllreduceRecDbl, CatAllreduceNaive,
 		CatAllreduceFP16, CatAllreduceTopK, CatAllreduceHier:
+		return true
+	}
+	return false
+}
+
+// HvprofOp returns the hvprof bucket-table operation a category feeds
+// and whether it is an MPI collective at all. All allreduce algorithms
+// fold into "allreduce", and so does the negotiation round: on the wire
+// it is a small allreduce, and counting it as one is what fills Table
+// I's 1–128 KB row. The timeline keeps it as its own "negotiate" span.
+func (c Category) HvprofOp() (string, bool) {
+	if c.isAllreduce() || c == CatNegotiate {
 		return "allreduce", true
-	case CatNegotiate:
-		return "negotiate", true
+	}
+	switch c {
 	case CatBcast:
 		return "bcast", true
 	case CatBarrier:
@@ -167,13 +180,12 @@ func (c Category) HvprofOp() (string, bool) {
 
 // Group returns the Chrome-trace "cat" grouping for the category.
 func (c Category) Group() string {
+	if _, ok := c.HvprofOp(); ok {
+		return "mpi"
+	}
 	switch c {
 	case CatStep, CatForward, CatBackward:
 		return "compute"
-	case CatNegotiate, CatAllreduceRing, CatAllreduceRecDbl, CatAllreduceNaive,
-		CatAllreduceFP16, CatAllreduceTopK, CatAllreduceHier,
-		CatBcast, CatBarrier, CatGather, CatAllgather:
-		return "mpi"
 	case CatGradHook, CatFusedReduce, CatDrain:
 		return "engine"
 	case CatCheckpoint, CatRestart:
@@ -283,6 +295,16 @@ func (r *Recorder) EmitInstant(cat Category, track Track, bytes int64) {
 		return
 	}
 	r.emit(cat, track, r.Now(), 0, bytes)
+}
+
+// EmitAt records a span with an explicit start and duration in
+// nanoseconds, for clocks other than the recorder's own — the cluster
+// simulator's virtual time. Nil-recorder calls are no-ops.
+func (r *Recorder) EmitAt(cat Category, track Track, start, dur, bytes int64) {
+	if r == nil {
+		return
+	}
+	r.emit(cat, track, start, dur, bytes)
 }
 
 func (r *Recorder) emit(cat Category, track Track, start, dur, bytes int64) {

@@ -18,7 +18,8 @@ func TestCategoryNamesRoundTrip(t *testing.T) {
 }
 
 func TestHvprofOpFolding(t *testing.T) {
-	for _, c := range []Category{CatAllreduceRing, CatAllreduceRecDbl, CatAllreduceNaive} {
+	for _, c := range []Category{CatAllreduceRing, CatAllreduceRecDbl, CatAllreduceNaive,
+		CatAllreduceFP16, CatAllreduceTopK, CatAllreduceHier, CatNegotiate} {
 		op, ok := c.HvprofOp()
 		if !ok || op != "allreduce" {
 			t.Errorf("%v -> (%q, %v), want (allreduce, true)", c, op, ok)
