@@ -130,9 +130,9 @@ func main() {
 	if *tracePath != "" || *traceJSONL != "" {
 		cfg.Trace = trace.NewSession(0)
 	}
+	var reg *trace.Metrics // nil without -metrics: the bundle's instruments are no-ops
 	if *metricsAddr != "" {
-		reg := trace.NewMetrics()
-		cfg.Metrics = trace.NewTrainMetrics(reg)
+		reg = trace.NewMetrics()
 		srv, err := trace.ServeMetrics(*metricsAddr, reg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -141,6 +141,7 @@ func main() {
 		defer srv.Close()
 		fmt.Printf("metrics: http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr())
 	}
+	cfg.Metrics = trace.NewTrainMetrics(reg)
 	// writeTrace exports the merged timeline after a traced run and
 	// prints rank 0's backward/allreduce overlap verdict.
 	writeTrace := func() {

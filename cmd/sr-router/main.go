@@ -9,9 +9,10 @@
 // are replayed elsewhere from the buffered body, and the replica is
 // readmitted once its health checks pass again.
 //
-// Observability mirrors sr-serve: sr_router_* counters on /metrics
-// and, with -trace, a Chrome trace_event timeline of every routed
-// request on shutdown.
+// Observability mirrors sr-serve: sr_router_* counters on /metrics,
+// per-request stage traces (limiter, read-body, placement, attempts,
+// write) on /debug/traces and, with -trace, the retained traces as one
+// Chrome trace_event file on shutdown.
 package main
 
 import (
@@ -43,7 +44,7 @@ func main() {
 	healthInterval := flag.Duration("health-interval", 250*time.Millisecond, "replica /healthz poll interval")
 	maxBody := flag.Int64("max-body", router.DefaultMaxBodyBytes, "largest accepted upload in bytes (buffered for replay)")
 	timeout := flag.Duration("timeout", 120*time.Second, "end-to-end bound on one proxy attempt")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline here on shutdown (open at https://ui.perfetto.dev)")
+	tracePath := flag.String("trace", "", "on shutdown, write the retained request traces (see -trace-sample, -trace-retain) here as Chrome trace_event JSON (open at https://ui.perfetto.dev)")
 	traceRetain := flag.Int("trace-retain", 256, "retained request traces served from /debug/traces (bounded ring)")
 	traceSample := flag.Float64("trace-sample", 0.01, "probabilistic keep rate for unremarkable requests (<0 disables; errors and the slow tail are always kept)")
 	traceSlowPct := flag.Float64("trace-slow-pct", 90, "always retain requests slower than this percentile of recent latency (<0 disables)")
@@ -65,12 +66,11 @@ func main() {
 	reg := trace.NewMetrics()
 	trace.RegisterBuildInfo(reg, trace.BuildVersion, "router")
 	trace.RegisterRuntimeMetrics(reg)
-	var rec *trace.Recorder
-	var sess *trace.Session
-	if *tracePath != "" {
-		sess = trace.NewSession(0)
-		rec = sess.Recorder(0)
-	}
+	traces := request.NewStore(request.Config{
+		Capacity:   *traceRetain,
+		SampleRate: *traceSample,
+		SlowPct:    *traceSlowPct,
+	})
 
 	rt, err := router.New(router.Config{
 		Backends:   urls,
@@ -85,17 +85,12 @@ func main() {
 			HealthInterval: *healthInterval,
 			MaxInflight:    *maxInflight,
 		},
-	}, reg, rec)
+	}, reg, traces)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	defer rt.Close()
-	rt.SetTraceStore(request.NewStore(request.Config{
-		Capacity:   *traceRetain,
-		SampleRate: *traceSample,
-		SlowPct:    *traceSlowPct,
-	}))
 	fmt.Printf("request tracing: /debug/traces (retain %d, slow-pct %g, sample %g)\n",
 		*traceRetain, *traceSlowPct, *traceSample)
 
@@ -137,10 +132,10 @@ func main() {
 		cancel()
 	}
 
-	if sess != nil {
+	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err == nil {
-			err = sess.Timeline().WriteChromeTrace(f)
+			err = traces.WriteChromeTrace(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

@@ -5,8 +5,10 @@
 // analogue of the paper's batched training forward), large images are
 // split into halo tiles to bound activation memory, and the process
 // exposes the same observability surface as training: Prometheus
-// counters on /metrics and, with -trace, a Chrome trace_event timeline
-// of every request, queue wait, and batch on shutdown.
+// counters on /metrics, per-request stage traces (decode, queue,
+// batch-wait, forward, cache, encode) on /debug/traces and, with
+// -trace, the retained traces as one Chrome trace_event file on
+// shutdown.
 //
 // SIGINT/SIGTERM drains gracefully: /healthz flips to 503, new requests
 // are rejected, in-flight requests and queued batches complete, then the
@@ -44,7 +46,7 @@ func main() {
 	maxBody := flag.Int64("max-body", serve.DefaultMaxBodyBytes, "largest accepted PNG upload in bytes")
 	cacheMB := flag.Int("cache-mb", 256, "content-addressed result-cache budget in MiB (repeat requests skip the forward; concurrent identical requests collapse into one)")
 	cacheOff := flag.Bool("cache-off", false, "disable the result cache regardless of -cache-mb")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON timeline here on shutdown (open at https://ui.perfetto.dev)")
+	tracePath := flag.String("trace", "", "on shutdown, write the retained request traces (see -trace-sample, -trace-retain) here as Chrome trace_event JSON (open at https://ui.perfetto.dev)")
 	traceRetain := flag.Int("trace-retain", 256, "retained request traces served from /debug/traces (bounded ring)")
 	traceSample := flag.Float64("trace-sample", 0.01, "probabilistic keep rate for unremarkable requests (<0 disables; errors and the slow tail are always kept)")
 	traceSlowPct := flag.Float64("trace-slow-pct", 90, "always retain requests slower than this percentile of recent latency (<0 disables)")
@@ -56,12 +58,11 @@ func main() {
 	trace.RegisterBuildInfo(reg, trace.BuildVersion, "serve")
 	trace.RegisterRuntimeMetrics(reg)
 	met := serve.NewMetrics(reg)
-	var rec *trace.Recorder
-	var sess *trace.Session
-	if *tracePath != "" {
-		sess = trace.NewSession(0)
-		rec = sess.Recorder(0)
-	}
+	traces := request.NewStore(request.Config{
+		Capacity:   *traceRetain,
+		SampleRate: *traceSample,
+		SlowPct:    *traceSlowPct,
+	})
 
 	cacheBytes := int64(*cacheMB) << 20
 	if *cacheOff {
@@ -76,7 +77,7 @@ func main() {
 		},
 		TileSize: *tile,
 		Cache:    cache.Config{MaxBytes: cacheBytes},
-	}, met, rec)
+	}, met, traces)
 
 	vr, err := serve.ParseVariant(*variant)
 	if err != nil {
@@ -160,11 +161,6 @@ func main() {
 	}
 
 	srv := serve.NewServer(engine, reg, met, *maxBody)
-	srv.SetTraceStore(request.NewStore(request.Config{
-		Capacity:   *traceRetain,
-		SampleRate: *traceSample,
-		SlowPct:    *traceSlowPct,
-	}))
 	fmt.Printf("request tracing: /debug/traces (retain %d, slow-pct %g, sample %g)\n",
 		*traceRetain, *traceSlowPct, *traceSample)
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
@@ -211,10 +207,10 @@ func main() {
 		engine.Shutdown()
 	}
 
-	if sess != nil {
+	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err == nil {
-			err = sess.Timeline().WriteChromeTrace(f)
+			err = traces.WriteChromeTrace(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

@@ -78,6 +78,9 @@ func NewEngine(comm *mpi.Comm, cfg Config) *Engine {
 	if cfg.FusionThresholdBytes == 0 {
 		cfg.FusionThresholdBytes = 64 << 20
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = trace.NewTrainMetrics(nil)
+	}
 	return &Engine{
 		comm:     comm,
 		cfg:      cfg,
@@ -267,10 +270,8 @@ func (e *Engine) reduceGroup(group []int) error {
 		total += len(e.bufs[id])
 	}
 	spanStart := e.cfg.Trace.Now()
-	if m := e.cfg.Metrics; m != nil {
-		m.BytesReduced.Add(int64(total) * 4)
-		m.AllreduceBytes.Observe(float64(total) * 4)
-	}
+	e.cfg.Metrics.BytesReduced.Add(int64(total) * 4)
+	e.cfg.Metrics.AllreduceBytes.Observe(float64(total) * 4)
 	var buf []float32
 	if len(group) == 1 {
 		// Unfused path: reduce the tensor's own buffer directly (no copy),

@@ -120,9 +120,7 @@ func (d *DistributedOptimizer) Drain() {
 	d.drainTotal += dur
 	d.drains++
 	d.engine.cfg.Trace.Emit(trace.CatDrain, trace.TrackMain, spanStart, 0)
-	if m := d.engine.cfg.Metrics; m != nil {
-		m.DrainSeconds.Observe(dur.Seconds())
-	}
+	d.engine.cfg.Metrics.DrainSeconds.Observe(dur.Seconds())
 	if err := d.engine.Err(); err != nil {
 		panic(err)
 	}

@@ -2,25 +2,23 @@ package router
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/trace"
 )
 
 // Metrics bundles the router's instruments, registered on the same
-// trace.Metrics registry the trainer and replicas use. Every method
-// tolerates a nil receiver so the proxy hot path needs no
+// trace.Metrics registry the trainer and replicas use. NewMetrics(nil,
+// n) returns a bundle of no-op instruments, which the router and pool
+// substitute for a nil bundle, so the proxy hot path needs no
 // enabled-checks. The trace registry has no label support, so
 // per-backend series carry the backend index in the metric name
 // (sr_router_backend_up_0, ...), fixed at pool construction.
 type Metrics struct {
-	// Requests counts routed upscale requests; Responses, Rejected, and
-	// Errors partition their outcomes like the replica-side sr_requests
-	// family (2xx / 429+503 / other).
-	Requests  *trace.Counter
-	Responses *trace.Counter
-	Rejected  *trace.Counter
-	Errors    *trace.Counter
+	// Requests counts requests received; the embedded Outcomes
+	// (Responses, Rejected, Errors) partition their outcomes like the
+	// replica-side sr_requests family (2xx / 429+503 / other).
+	Requests *trace.Counter
+	trace.Outcomes
 	// RateLimited counts 429s from the per-client token bucket; Sheds
 	// counts 429s from fleet-saturation admission control. Both are
 	// also in Rejected.
@@ -52,16 +50,15 @@ type Metrics struct {
 }
 
 // NewMetrics registers the router instruments for n backends on m
-// (nil m → nil bundle, metrics off).
+// (nil m → a bundle of no-op instruments).
 func NewMetrics(m *trace.Metrics, n int) *Metrics {
-	if m == nil {
-		return nil
-	}
 	r := &Metrics{
-		Requests:        m.Counter("sr_router_requests_total", "Upscale requests received by the router."),
-		Responses:       m.Counter("sr_router_responses_total", "Routed requests answered 2xx."),
-		Rejected:        m.Counter("sr_router_rejected_total", "Requests rejected with 429 or 503 at the router."),
-		Errors:          m.Counter("sr_router_errors_total", "Routed requests that failed with another error."),
+		Requests: m.Counter("sr_router_requests_total", "Requests received by the router (upscale, models, healthz)."),
+		Outcomes: trace.Outcomes{
+			Responses: m.Counter("sr_router_responses_total", "Router requests answered 2xx."),
+			Rejected:  m.Counter("sr_router_rejected_total", "Requests rejected with 429 or 503 at the router."),
+			Errors:    m.Counter("sr_router_errors_total", "Router requests that failed with another error."),
+		},
 		RateLimited:     m.Counter("sr_router_ratelimited_total", "429s from the per-client token bucket."),
 		Sheds:           m.Counter("sr_router_sheds_total", "429s from fleet-saturation admission control."),
 		Retries:         m.Counter("sr_router_retries_total", "Attempts replayed on another backend after a retryable failure."),
@@ -82,97 +79,4 @@ func NewMetrics(m *trace.Metrics, n int) *Metrics {
 			m.Counter(fmt.Sprintf("sr_router_backend_requests_total_%d", i), fmt.Sprintf("Attempts sent to backend %d.", i)))
 	}
 	return r
-}
-
-// request records one routed request arrival.
-func (m *Metrics) request() {
-	if m == nil {
-		return
-	}
-	m.Requests.Inc()
-}
-
-// outcome records the status written back to the client, partitioned
-// like serve.Metrics.httpOutcome.
-func (m *Metrics) outcome(code int) {
-	if m == nil {
-		return
-	}
-	switch {
-	case code >= 200 && code < 300:
-		m.Responses.Inc()
-	case code == 429 || code == 503:
-		m.Rejected.Inc()
-	default:
-		m.Errors.Inc()
-	}
-}
-
-// attempt records one proxy attempt dispatched to backend i.
-func (m *Metrics) attempt(i int) {
-	if m == nil || i >= len(m.backendReqs) {
-		return
-	}
-	m.backendReqs[i].Inc()
-}
-
-// backendInflight updates backend i's live in-flight gauge.
-func (m *Metrics) backendInflight(i int, n int64) {
-	if m == nil || i >= len(m.backendLoad) {
-		return
-	}
-	m.backendLoad[i].Set(float64(n))
-}
-
-// ejected counts one rotation removal.
-func (m *Metrics) ejected(int) {
-	if m == nil {
-		return
-	}
-	m.Ejections.Inc()
-}
-
-// readmitted counts one rotation return.
-func (m *Metrics) readmitted(int) {
-	if m == nil {
-		return
-	}
-	m.Readmits.Inc()
-}
-
-// syncPool refreshes the rotation gauges from the pool's current
-// state.
-func (m *Metrics) syncPool(p *Pool) {
-	if m == nil {
-		return
-	}
-	n := 0
-	for _, b := range p.backends {
-		up := 0.0
-		if b.healthy.Load() {
-			up = 1
-			n++
-		}
-		if b.Index < len(m.backendUp) {
-			m.backendUp[b.Index].Set(up)
-		}
-	}
-	m.BackendsHealthy.Set(float64(n))
-}
-
-// observeProxy records one routed request's end-to-end latency.
-func (m *Metrics) observeProxy(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.ProxySeconds.Observe(d.Seconds())
-}
-
-// proxyExemplar links a retained trace ID to the latency bucket its
-// routed request landed in.
-func (m *Metrics) proxyExemplar(sec float64, traceID string) {
-	if m == nil {
-		return
-	}
-	m.ProxySeconds.Exemplar(sec, traceID)
 }

@@ -86,11 +86,15 @@ type Pool struct {
 }
 
 // NewPool parses the backend URLs and probes each one synchronously so
-// the router starts with an accurate rotation. met may be nil.
+// the router starts with an accurate rotation. met may be nil (metrics
+// off); otherwise it must be built for len(urls) backends.
 func NewPool(urls []string, cfg PoolConfig, met *Metrics) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	if len(urls) == 0 {
 		return nil, fmt.Errorf("router: no backends configured")
+	}
+	if met == nil {
+		met = NewMetrics(nil, len(urls))
 	}
 	p := &Pool{
 		cfg:    cfg,
@@ -121,7 +125,7 @@ func NewPool(urls []string, cfg PoolConfig, met *Metrics) (*Pool, error) {
 		}(b)
 	}
 	wg.Wait()
-	p.met.syncPool(p)
+	p.syncMetrics()
 	return p, nil
 }
 
@@ -182,8 +186,8 @@ func (p *Pool) healthLoop(b *Backend) {
 			if streak >= p.cfg.ReadmitAfter {
 				b.healthy.Store(true)
 				streak = 0
-				p.met.readmitted(b.Index)
-				p.met.syncPool(p)
+				p.met.Readmits.Inc()
+				p.syncMetrics()
 			}
 		case !pass:
 			streak = 0
@@ -198,21 +202,34 @@ func (p *Pool) healthLoop(b *Backend) {
 // count each ejection once.
 func (p *Pool) eject(b *Backend) {
 	if b.healthy.CompareAndSwap(true, false) {
-		p.met.ejected(b.Index)
-		p.met.syncPool(p)
+		p.met.Ejections.Inc()
+		p.syncMetrics()
 	}
 }
 
 // acquire reserves an in-flight slot on b; the caller must release it.
 func (p *Pool) acquire(b *Backend) {
-	b.inflight.Add(1)
-	p.met.backendInflight(b.Index, b.inflight.Load())
+	p.met.backendLoad[b.Index].Set(float64(b.inflight.Add(1)))
 }
 
 // release frees an in-flight slot on b.
 func (p *Pool) release(b *Backend) {
-	b.inflight.Add(-1)
-	p.met.backendInflight(b.Index, b.inflight.Load())
+	p.met.backendLoad[b.Index].Set(float64(b.inflight.Add(-1)))
+}
+
+// syncMetrics refreshes the rotation gauges from the backends' current
+// health.
+func (p *Pool) syncMetrics() {
+	n := 0
+	for _, b := range p.backends {
+		up := 0.0
+		if b.healthy.Load() {
+			up = 1
+			n++
+		}
+		p.met.backendUp[b.Index].Set(up)
+	}
+	p.met.BackendsHealthy.Set(float64(n))
 }
 
 // eligible reports whether b can take one more request right now.

@@ -124,7 +124,6 @@ type Router struct {
 	lat     *latencyTracker
 	client  *http.Client
 	met     *Metrics
-	rec     *trace.Recorder
 	traces  *rtrace.Store
 	mux     *http.ServeMux
 
@@ -132,11 +131,15 @@ type Router struct {
 }
 
 // New builds a router over cfg.Backends, probing each synchronously
-// and starting the health loops. reg and rec may be nil (metrics and
-// tracing off). Callers must Close the router to stop the health
-// loops.
-func New(cfg Config, reg *trace.Metrics, rec *trace.Recorder) (*Router, error) {
+// and starting the health loops. reg may be nil (metrics off). traces
+// is the request-trace store the router records into and serves from
+// /debug/traces; nil selects the default tail-sampled store. Callers
+// must Close the router to stop the health loops.
+func New(cfg Config, reg *trace.Metrics, traces *rtrace.Store) (*Router, error) {
 	cfg = cfg.withDefaults()
+	if traces == nil {
+		traces = rtrace.NewStore(rtrace.Config{})
+	}
 	met := NewMetrics(reg, len(cfg.Backends))
 	pool, err := NewPool(cfg.Backends, cfg.Pool, met)
 	if err != nil {
@@ -159,29 +162,18 @@ func New(cfg Config, reg *trace.Metrics, rec *trace.Recorder) (*Router, error) {
 			},
 		},
 		met:    met,
-		rec:    rec,
-		traces: rtrace.NewStore(rtrace.Config{}),
+		traces: traces,
 		mux:    http.NewServeMux(),
 	}
 	rt.mux.HandleFunc("/v1/upscale", rt.handleUpscale)
 	rt.mux.HandleFunc("/v1/models", rt.handleModels)
 	rt.mux.HandleFunc("/healthz", rt.handleHealth)
-	rt.mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		rt.traces.Handler().ServeHTTP(w, r)
-	})
+	rt.mux.Handle("/debug/traces", rt.traces.Handler())
 	if reg != nil {
 		rt.mux.Handle("/metrics", reg.Handler())
 	}
 	pool.Start()
 	return rt, nil
-}
-
-// SetTraceStore replaces the request-trace store (configure sampling
-// knobs before serving traffic).
-func (rt *Router) SetTraceStore(st *rtrace.Store) {
-	if st != nil {
-		rt.traces = st
-	}
 }
 
 // TraceStore returns the router's request-trace store.
@@ -215,7 +207,7 @@ func (rt *Router) Close() {
 // the replica-side contract: 429 and 503 both carry Retry-After so
 // callers back off instead of hot-retrying.
 func (rt *Router) fail(w http.ResponseWriter, code int, msg string) {
-	rt.met.outcome(code)
+	rt.met.Outcome(code)
 	switch code {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		if w.Header().Get("Retry-After") == "" {
@@ -252,15 +244,15 @@ var (
 // so this is where the request's trace is minted (or adopted from an
 // incoming traceparent), returned as X-Trace-Id, and tail-sampled.
 func (rt *Router) handleUpscale(w http.ResponseWriter, r *http.Request) {
-	rt.met.request()
+	rt.met.Requests.Inc()
 	a := rt.traces.Start(r.Header.Get("traceparent"))
-	began := time.Now()
+	began := rtrace.Now()
 	if a != nil {
 		w.Header().Set("X-Trace-Id", a.TraceID().String())
 	}
 	status := rt.doUpscale(w, r, a)
 	if id, kept := rt.traces.Finish(a, status); kept {
-		rt.met.proxyExemplar(time.Since(began).Seconds(), id.String())
+		rt.met.ProxySeconds.Exemplar(float64(rtrace.Now()-began)/1e9, id.String())
 	}
 }
 
@@ -315,14 +307,13 @@ func (rt *Router) doUpscale(w http.ResponseWriter, r *http.Request, a *rtrace.Ac
 	cur = emitTiled(a, rtrace.StageRouterReadBody, cur, int64(len(body)))
 	model := r.URL.Query().Get("model")
 
-	began := time.Now()
-	start := rt.rec.Now()
+	began := rtrace.Now()
 	res, err := rt.route(r.Context(), a, model, body, cur)
 	switch {
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// Client gone mid-route: nothing to write, account like the
 		// replicas do (nginx's 499).
-		rt.met.outcome(statusClientClosedRequest)
+		rt.met.Outcome(statusClientClosedRequest)
 		return statusClientClosedRequest
 	case errors.Is(err, errNoHealthy):
 		rt.fail(w, http.StatusServiceUnavailable, err.Error())
@@ -342,7 +333,7 @@ func (rt *Router) doUpscale(w http.ResponseWriter, r *http.Request, a *rtrace.Ac
 			w.Header().Set(h, v)
 		}
 	}
-	rt.met.outcome(res.status)
+	rt.met.Outcome(res.status)
 	// The write span picks up where the winning attempt span closed, so
 	// header copy-out and the response write tile with the attempts.
 	wstart := res.closed
@@ -352,8 +343,7 @@ func (rt *Router) doUpscale(w http.ResponseWriter, r *http.Request, a *rtrace.Ac
 	w.WriteHeader(res.status)
 	w.Write(res.body)
 	a.EmitStage(rtrace.StageRouterWrite, a.Root(), wstart, int64(len(res.body)))
-	rt.rec.Emit(trace.CatRouterProxy, trace.TrackMain, start, int64(len(res.body)))
-	rt.met.observeProxy(time.Since(began))
+	rt.met.ProxySeconds.Observe(float64(rtrace.Now()-began) / 1e9)
 	return res.status
 }
 
@@ -452,7 +442,7 @@ func (rt *Router) route(ctx context.Context, a *rtrace.Active, model string, bod
 		cur = emitTiled(a, rtrace.StageRouterPlacement, pstart, 0)
 		tried[b] = true
 		rt.pool.acquire(b)
-		rt.met.attempt(b.Index)
+		rt.met.backendReqs[b.Index].Inc()
 		actx, cancel := context.WithCancel(ctx)
 		cancels = append(cancels, cancel)
 		idx := len(atts)
@@ -598,7 +588,7 @@ func (rt *Router) attempt(ctx context.Context, b *Backend, traceparent, model st
 // that answers — every replica serves the same registry, so any one
 // speaks for the fleet.
 func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
-	rt.met.request()
+	rt.met.Requests.Inc()
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		rt.fail(w, http.StatusMethodNotAllowed, "GET only")
@@ -621,7 +611,7 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
 		if ct := resp.Header.Get("Content-Type"); ct != "" {
 			w.Header().Set("Content-Type", ct)
 		}
-		rt.met.outcome(resp.StatusCode)
+		rt.met.Outcome(resp.StatusCode)
 		w.WriteHeader(resp.StatusCode)
 		w.Write(data)
 		return
@@ -633,7 +623,7 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
 // rotation, 503 (with Retry-After) while draining or with an empty
 // rotation — the same contract the replicas expose, so routers stack.
 func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	rt.met.request()
+	rt.met.Requests.Inc()
 	if rt.draining.Load() {
 		rt.fail(w, http.StatusServiceUnavailable, "draining")
 		return
@@ -643,5 +633,5 @@ func (rt *Router) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	fmt.Fprintln(w, "ok")
-	rt.met.outcome(http.StatusOK)
+	rt.met.Outcome(http.StatusOK)
 }

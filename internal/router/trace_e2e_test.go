@@ -21,16 +21,15 @@ import (
 // request, so assertions on its retained traces are deterministic.
 func startTracedReplica(t *testing.T) (url string, store *rtrace.Store) {
 	t.Helper()
+	store = rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: 1})
 	engine := serve.NewEngine(serve.EngineConfig{
 		Batch: serve.BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond},
-	}, nil, nil)
+	}, nil, store)
 	if err := engine.Register("bicubic", serve.BicubicFactory(2, 3)); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	t.Cleanup(engine.Shutdown)
 	replica := serve.NewServer(engine, nil, nil, 0)
-	store = rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: 1})
-	replica.SetTraceStore(store)
 	backend := httptest.NewServer(replica)
 	t.Cleanup(backend.Close)
 	return backend.URL, store
@@ -59,16 +58,15 @@ func TestTracePropagationE2E(t *testing.T) {
 	backendURL, replicaStore := startTracedReplica(t)
 
 	reg := trace.NewMetrics()
+	routerStore := rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: 1})
 	rt, err := New(Config{
 		Backends: []string{backendURL},
 		Pool:     PoolConfig{HealthInterval: 10 * time.Millisecond},
-	}, reg, nil)
+	}, reg, routerStore)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(rt.Close)
-	routerStore := rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: 1})
-	rt.SetTraceStore(routerStore)
 	waitFor(t, func() bool { return rt.Pool().NumHealthy() == 1 }, "replica in rotation")
 
 	rr := post(rt, "/v1/upscale?model=bicubic", testPNG(t, 7, 8), nil)
@@ -172,14 +170,13 @@ func TestTraceReplayedAttemptAttribution(t *testing.T) {
 		Placement: "hash",
 		// Only the failed attempt itself may eject the dead replica.
 		Pool: PoolConfig{HealthInterval: time.Hour},
-	}, trace.NewMetrics(), nil)
+		// Probabilistic and slow-tail sampling off: the replay is the
+		// only reason this trace can be kept.
+	}, trace.NewMetrics(), rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: -1, SlowPct: -1}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(rt.Close)
-	// Probabilistic and slow-tail sampling off: the replay is the only
-	// reason this trace can be kept.
-	rt.SetTraceStore(rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: -1, SlowPct: -1}))
 
 	// An upload the ring places on the doomed replica, which then dies
 	// with no drain: the attempt meets a refused connection.

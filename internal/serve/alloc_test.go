@@ -23,7 +23,7 @@ func TestRunBatchNoAllocs(t *testing.T) {
 
 	// A worker wired by hand, without the goroutine loop, so the measured
 	// function is exactly the per-batch work.
-	b := &Batcher{cfg: BatcherConfig{MaxBatch: 4}.withDefaults()}
+	b := &Batcher{cfg: BatcherConfig{MaxBatch: 4}.withDefaults(), met: NewMetrics(nil)}
 	w := &worker{b: b, model: EDSRFactory(master)()}
 
 	const n = 4
@@ -66,7 +66,7 @@ func TestSubmitSteadyStateAllocs(t *testing.T) {
 	master := models.NewEDSR(models.EDSRTiny(), rng)
 	b := NewBatcher(EDSRFactory(master), BatcherConfig{
 		MaxBatch: 1, MaxDelay: time.Microsecond, Queue: 4, Workers: 1,
-	}, nil, nil)
+	}, nil)
 	defer b.Shutdown()
 
 	x := tensor.New(1, 3, 16, 16)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/tensor"
-	"repro/internal/trace"
 	rtrace "repro/internal/trace/request"
 )
 
@@ -64,10 +63,10 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 // blocks.
 type request struct {
 	x, out *tensor.Tensor
-	enq    int64 // Recorder.Now() at enqueue, for the queue-wait span
 	// act is the submitting request's trace collector (nil when
-	// untraced); tEnq/tPulled are span-clock stamps bounding the
-	// queue-wait and batch-wait spans runBatch emits into it.
+	// untraced); tEnq/tPulled are request-clock stamps bounding the
+	// queue wait (sr_queue_seconds, and the queue-wait span) and the
+	// batch-wait span runBatch emits into act.
 	act           *rtrace.Active
 	tEnq, tPulled int64
 	errc          chan error
@@ -91,19 +90,20 @@ type Batcher struct {
 	scale, halo, colors int
 
 	met *Metrics
-	rec *trace.Recorder
 }
 
 // NewBatcher starts cfg.Workers workers, each with its own replica from
-// f. met and rec may be nil (metrics and tracing off).
-func NewBatcher(f Factory, cfg BatcherConfig, met *Metrics, rec *trace.Recorder) *Batcher {
+// f. met may be nil (metrics off).
+func NewBatcher(f Factory, cfg BatcherConfig, met *Metrics) *Batcher {
 	cfg = cfg.withDefaults()
+	if met == nil {
+		met = NewMetrics(nil)
+	}
 	b := &Batcher{
 		cfg:   cfg,
 		queue: make(chan *request, cfg.Queue),
 		pool:  sync.Pool{New: func() any { return &request{errc: make(chan error, 1)} }},
 		met:   met,
-		rec:   rec,
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		m := f()
@@ -154,7 +154,6 @@ func (b *Batcher) SubmitCtx(ctx context.Context, x, out *tensor.Tensor) error {
 	}
 	req := b.pool.Get().(*request)
 	req.x, req.out = x, out
-	req.enq = b.rec.Now()
 	req.act = rtrace.FromContext(ctx)
 	req.tEnq = rtrace.Now()
 
@@ -172,7 +171,8 @@ func (b *Batcher) SubmitCtx(ctx context.Context, x, out *tensor.Tensor) error {
 		b.release(req)
 		return ErrOverloaded
 	}
-	b.met.submitted(len(b.queue))
+	b.met.Submits.Inc()
+	b.met.QueueDepth.Set(float64(len(b.queue)))
 
 	err := <-req.errc
 	b.release(req)
@@ -252,19 +252,19 @@ func (w *worker) collect(first *request) *request {
 	w.batch = append(w.batch[:0], first)
 	max := w.b.cfg.MaxBatch
 	if max <= 1 {
-		w.b.met.batchClosed(closeFull)
+		w.b.met.BatchCloseFull.Inc()
 		return nil
 	}
 	for len(w.batch) < max {
 		select {
 		case r, ok := <-w.b.queue:
 			if !ok {
-				w.b.met.batchClosed(closeDrain)
+				w.b.met.BatchCloseDrain.Inc()
 				return nil
 			}
 			r.pulled()
 			if !r.x.SameShape(first.x) {
-				w.b.met.batchClosed(closeShape)
+				w.b.met.BatchCloseShape.Inc()
 				return r
 			}
 			w.batch = append(w.batch, r)
@@ -276,37 +276,33 @@ func (w *worker) collect(first *request) *request {
 				case r, ok := <-w.b.queue:
 					if !ok {
 						w.stopTimer()
-						w.b.met.batchClosed(closeDrain)
+						w.b.met.BatchCloseDrain.Inc()
 						return nil
 					}
 					r.pulled()
 					if !r.x.SameShape(first.x) {
 						w.stopTimer()
-						w.b.met.batchClosed(closeShape)
+						w.b.met.BatchCloseShape.Inc()
 						return r
 					}
 					w.batch = append(w.batch, r)
 				case <-w.timer.C:
-					w.b.met.batchClosed(closeTimeout)
+					w.b.met.BatchCloseTimeout.Inc()
 					return nil
 				}
 			}
 			w.stopTimer()
-			w.b.met.batchClosed(closeFull)
+			w.b.met.BatchCloseFull.Inc()
 			return nil
 		}
 	}
-	w.b.met.batchClosed(closeFull)
+	w.b.met.BatchCloseFull.Inc()
 	return nil
 }
 
 // pulled stamps the moment a worker took the request off the queue,
-// bounding its queue-wait span (and starting batch-wait).
-func (r *request) pulled() {
-	if r.act != nil {
-		r.tPulled = rtrace.Now()
-	}
-}
+// ending its queue wait (and starting batch-wait).
+func (r *request) pulled() { r.tPulled = rtrace.Now() }
 
 // stopTimer cancels the hold timer, draining its channel if it fired
 // between the last receive and the stop.
@@ -328,13 +324,10 @@ func (w *worker) runBatch(reqs []*request) {
 	plane := c * h * wd
 	w.in = tensor.Ensure(w.in, n, c, h, wd)
 	id := w.in.Data()
-	now := w.b.rec.Now()
 	for i, r := range reqs {
 		copy(id[i*plane:(i+1)*plane], r.x.Data())
-		w.b.rec.Emit(trace.CatServeQueue, trace.TrackMain, r.enq, r.x.Bytes())
-		w.b.met.queueWait(float64(now-r.enq) / 1e9)
+		w.b.met.QueueSeconds.Observe(float64(r.tPulled-r.tEnq) / 1e9)
 	}
-	start := w.b.rec.Now()
 	fwdStart := rtrace.Now()
 	y := w.model.Forward(w.in)
 	fwdEnd := rtrace.Now()
@@ -356,6 +349,7 @@ func (w *worker) runBatch(reqs []*request) {
 		copy(r.out.Data(), yd[i*outPlane:(i+1)*outPlane])
 		r.errc <- nil
 	}
-	w.b.rec.Emit(trace.CatServeBatch, trace.TrackMain, start, w.in.Bytes())
-	w.b.met.batched(n, len(w.b.queue))
+	w.b.met.Batches.Inc()
+	w.b.met.BatchSize.Observe(float64(n))
+	w.b.met.QueueDepth.Set(float64(len(w.b.queue)))
 }

@@ -98,7 +98,7 @@ func checkFakeOutput(t *testing.T, x, out *tensor.Tensor, scale int) {
 func TestBatcherHammerDrainShutdown(t *testing.T) {
 	b := NewBatcher(fakeFactory(2, 200*time.Microsecond, &batchLog{}), BatcherConfig{
 		MaxBatch: 4, MaxDelay: 300 * time.Microsecond, Queue: 8, Workers: 2,
-	}, nil, nil)
+	}, nil)
 
 	const N = 200
 	var ok, overloaded, draining, other atomic.Int64
@@ -159,7 +159,7 @@ func TestBatcherCoalesces(t *testing.T) {
 	log := &batchLog{}
 	b := NewBatcher(fakeFactory(2, 2*time.Millisecond, log), BatcherConfig{
 		MaxBatch: 8, MaxDelay: 50 * time.Millisecond, Queue: 32, Workers: 1,
-	}, nil, nil)
+	}, nil)
 	defer b.Shutdown()
 
 	const N = 16
@@ -198,7 +198,7 @@ func TestBatcherCoalesces(t *testing.T) {
 func TestBatcherBackpressure(t *testing.T) {
 	b := NewBatcher(fakeFactory(2, 20*time.Millisecond, &batchLog{}), BatcherConfig{
 		MaxBatch: 1, Queue: 1, Workers: 1,
-	}, nil, nil)
+	}, nil)
 	defer b.Shutdown()
 
 	const N = 12
@@ -235,7 +235,7 @@ func TestBatcherBackpressure(t *testing.T) {
 func TestBatcherMixedShapes(t *testing.T) {
 	b := NewBatcher(fakeFactory(2, time.Millisecond, &batchLog{}), BatcherConfig{
 		MaxBatch: 4, MaxDelay: 5 * time.Millisecond, Queue: 64, Workers: 2,
-	}, nil, nil)
+	}, nil)
 	defer b.Shutdown()
 
 	shapes := [][2]int{{3, 3}, {5, 4}, {2, 7}}
@@ -274,7 +274,7 @@ func TestBatchedForwardBitIdentical(t *testing.T) {
 	// The same sample inside a batch of 3, via the batcher.
 	b := NewBatcher(EDSRFactory(master), BatcherConfig{
 		MaxBatch: 3, MaxDelay: time.Second, Queue: 8, Workers: 1,
-	}, nil, nil)
+	}, nil)
 	defer b.Shutdown()
 	outA := tensor.New(1, 3, 20, 20)
 	var wg sync.WaitGroup
@@ -308,7 +308,7 @@ func TestBatchFullClosesBeforeDelay(t *testing.T) {
 	met := NewMetrics(trace.NewMetrics())
 	b := NewBatcher(fakeFactory(2, 0, log), BatcherConfig{
 		MaxBatch: 4, MaxDelay: 2 * time.Second, Queue: 32, Workers: 1,
-	}, met, nil)
+	}, met)
 	defer b.Shutdown()
 
 	const N = 8 // two full batches
@@ -349,7 +349,7 @@ func TestSoloRequestBoundedByMaxDelay(t *testing.T) {
 	const delay = 30 * time.Millisecond
 	b := NewBatcher(fakeFactory(2, 0, &batchLog{}), BatcherConfig{
 		MaxBatch: 8, MaxDelay: delay, Queue: 32, Workers: 1,
-	}, met, nil)
+	}, met)
 	defer b.Shutdown()
 
 	x := tensor.New(1, 3, 4, 4)
@@ -377,7 +377,7 @@ func TestBatchCloseReasonCounters(t *testing.T) {
 	met := NewMetrics(trace.NewMetrics())
 	b := NewBatcher(fakeFactory(2, 0, &batchLog{}), BatcherConfig{
 		MaxBatch: 2, MaxDelay: 5 * time.Millisecond, Queue: 32, Workers: 1,
-	}, met, nil)
+	}, met)
 
 	submit := func(h, w int) error {
 		x := tensor.New(1, 3, h, w)
@@ -416,4 +416,36 @@ func TestBatchCloseReasonCounters(t *testing.T) {
 		t.Fatalf("solo request produced no timeout close")
 	}
 	t.Logf("batches %d: full=%d timeout=%d shape=%d drain=%d", batches, full, timeout, shape, drain)
+}
+
+// TestQueueSecondsObserved pins sr_queue_seconds to the request clock:
+// six concurrent submissions behind a 20 ms forward, one per batch, so
+// all but the first wait in the queue for tens of milliseconds — with
+// no span recorder and no request trace anywhere.
+func TestQueueSecondsObserved(t *testing.T) {
+	met := NewMetrics(trace.NewMetrics())
+	b := NewBatcher(fakeFactory(2, 20*time.Millisecond, &batchLog{}), BatcherConfig{
+		MaxBatch: 1, Queue: 8, Workers: 1,
+	}, met)
+	defer b.Shutdown()
+
+	const N = 6
+	var wg sync.WaitGroup
+	for i := 0; i < N; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := b.Submit(tensor.New(1, 3, 4, 4), tensor.New(1, 3, 8, 8)); err != nil {
+				t.Errorf("Submit: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := met.QueueSeconds.Count(); n != N {
+		t.Fatalf("sr_queue_seconds observations %d, want %d", n, N)
+	}
+	// The last of six waits behind at least four 20 ms forwards.
+	if sum := met.QueueSeconds.Sum(); sum < 0.08 {
+		t.Fatalf("sr_queue_seconds sum %.4fs over %d queued requests, want > 0.08s", sum, N)
+	}
 }

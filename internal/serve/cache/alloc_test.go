@@ -6,18 +6,21 @@ import (
 
 	"repro/internal/tensor"
 	"repro/internal/trace"
+	"repro/internal/trace/request"
 )
 
 // TestCacheHitLookupNoAllocs pins the cache-hit perf contract: key
 // derivation plus a hit — map lookup, LRU refresh, copy-out, metrics,
-// trace span — performs zero heap allocations, so a hot-content server
-// spends nothing on GC for the traffic it already answered. Measured
-// with metrics and tracing ON, the production configuration.
+// request-trace stage — performs zero heap allocations, so a
+// hot-content server spends nothing on GC for the traffic it already
+// answered. Measured with metrics and tracing ON, the production
+// configuration.
 func TestCacheHitLookupNoAllocs(t *testing.T) {
 	reg := trace.NewMetrics()
 	met := NewMetrics(reg)
-	sess := trace.NewSession(0)
-	c := New(Config{MaxBytes: 1 << 20}, met, sess.Recorder(0))
+	c := New(Config{MaxBytes: 1 << 20}, met, nil)
+	store := request.NewStore(request.Config{})
+	ctx := request.NewContext(context.Background(), store.Start(""))
 
 	rng := tensor.NewRNG(21)
 	x := tensor.New(1, 3, 32, 32)
@@ -33,7 +36,7 @@ func TestCacheHitLookupNoAllocs(t *testing.T) {
 
 	if allocs := testing.AllocsPerRun(100, func() {
 		kk := MakeKey(GranImage, "edsr", "fused", 2, 48, x)
-		if !c.Get(kk, out) {
+		if !c.Lookup(ctx, kk, out) {
 			t.Fatal("unexpected miss")
 		}
 	}); allocs != 0 {

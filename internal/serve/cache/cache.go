@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/tensor"
-	"repro/internal/trace"
 	"repro/internal/trace/request"
 )
 
@@ -89,15 +88,20 @@ type Cache struct {
 	entries atomic.Int64
 
 	met *Metrics
-	rec *trace.Recorder
 }
 
-// New builds a cache within cfg's byte budget. met and rec may be nil
-// (observability off). cfg.MaxBytes <= 0 returns nil — the disabled
-// cache — so callers can wire the config through unconditionally.
-func New(cfg Config, met *Metrics, rec *trace.Recorder) *Cache {
+// New builds a cache within cfg's byte budget. met may be nil (metrics
+// off). The third argument is unused and must be nil: spans go to the
+// request trace carried by Lookup's and Do's context, and the slot only
+// keeps existing three-argument callers compiling. cfg.MaxBytes <= 0
+// returns nil — the disabled cache — so callers can wire the config
+// through unconditionally.
+func New(cfg Config, met *Metrics, _ *struct{}) *Cache {
 	if cfg.MaxBytes <= 0 {
 		return nil
+	}
+	if met == nil {
+		met = NewMetrics(nil)
 	}
 	n := cfg.Shards
 	if n < 1 {
@@ -112,7 +116,6 @@ func New(cfg Config, met *Metrics, rec *trace.Recorder) *Cache {
 		mask:    uint64(n - 1),
 		flights: make(map[Key]*flight),
 		met:     met,
-		rec:     rec,
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[Key]*entry)
@@ -132,26 +135,46 @@ func (c *Cache) shardFor(k Key) *shard { return &c.shards[k.Lo&c.mask] }
 // refreshes the entry's recency. It returns false on a miss (also when
 // the cache is disabled or the stored shape does not match out, which
 // cannot happen for keys derived with MakeKey). The hit path performs
-// zero heap allocations.
+// zero heap allocations. Each call counts once in sr_cache_hit_total or
+// sr_cache_miss_total.
 func (c *Cache) Get(k Key, out *tensor.Tensor) bool {
 	if c == nil {
 		return false
 	}
+	if c.get(k, out) {
+		c.met.Hits.Inc()
+		return true
+	}
+	c.met.Misses.Inc()
+	return false
+}
+
+// get is Get without the lookup accounting.
+func (c *Cache) get(k Key, out *tensor.Tensor) bool {
 	s := c.shardFor(k)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.m[k]
 	if !ok || e.val.Len() != out.Len() {
-		s.mu.Unlock()
-		c.met.miss()
 		return false
 	}
-	start := c.rec.Now()
 	s.moveToFront(e)
 	copy(out.Data(), e.val.Data())
-	s.mu.Unlock()
-	c.met.hit()
-	c.rec.Emit(trace.CatServeCache, trace.TrackMain, start, out.Bytes())
 	return true
+}
+
+// Lookup is Get for a request that may be traced: the lookup lands in
+// the request trace carried by ctx as a serve/cache-hit stage (the
+// copy-out) or a serve/cache-miss stage.
+func (c *Cache) Lookup(ctx context.Context, k Key, out *tensor.Tensor) bool {
+	a := request.FromContext(ctx)
+	start := a.Now()
+	if c.Get(k, out) {
+		a.EmitStage(request.StageServeCacheHit, a.Root(), start, out.Bytes())
+		return true
+	}
+	a.EmitStage(request.StageServeCacheMiss, a.Root(), start, 0)
+	return false
 }
 
 // Do runs the miss path for k with singleflight collapsing: if another
@@ -178,8 +201,9 @@ func (c *Cache) Do(ctx context.Context, k Key, out *tensor.Tensor, compute func(
 	c.fmu.Unlock()
 
 	// Re-check the LRU: a previous flight may have landed between the
-	// caller's Get miss and our leadership. Counts as a (rescue) hit.
-	if c.Get(k, out) {
+	// caller's Get miss and our leadership. The caller's lookup was
+	// already counted, so this one is not.
+	if c.get(k, out) {
 		c.finish(k, f, out, nil)
 		return nil
 	}
@@ -210,14 +234,13 @@ func (c *Cache) finish(k Key, f *flight, out *tensor.Tensor, err error) {
 // wait parks on f until it completes or ctx is cancelled. Cancellation
 // only unblocks this waiter; the flight itself keeps running.
 func (c *Cache) wait(ctx context.Context, f *flight, out *tensor.Tensor) error {
-	c.met.inflightWait()
-	start := c.rec.Now()
+	c.met.InflightWaits.Inc()
 	a := request.FromContext(ctx)
 	wstart := a.Now()
 	select {
 	case <-f.done:
 	case <-ctx.Done():
-		c.met.inflightCancel()
+		c.met.InflightCancels.Inc()
 		if a != nil {
 			// The wait covered real wall time even though the client left.
 			a.Emit(request.StageServeCacheWait, request.NewSpanID(), a.Root(),
@@ -230,7 +253,6 @@ func (c *Cache) wait(ctx context.Context, f *flight, out *tensor.Tensor) error {
 	}
 	copy(out.Data(), f.res.Data())
 	a.EmitStage(request.StageServeCacheWait, a.Root(), wstart, out.Bytes())
-	c.rec.Emit(trace.CatServeCache, trace.TrackMain, start, out.Bytes())
 	return nil
 }
 
@@ -269,8 +291,9 @@ func (c *Cache) insert(k Key, val *tensor.Tensor) {
 		dEntries++
 	}
 	s.mu.Unlock()
-	c.met.evicted(evicted)
-	c.met.footprint(c.bytes.Add(delta), int(c.entries.Add(int64(dEntries))))
+	c.met.Evictions.Add(int64(evicted))
+	c.met.Bytes.Set(float64(c.bytes.Add(delta)))
+	c.met.Entries.Set(float64(c.entries.Add(int64(dEntries))))
 }
 
 // Len reports the live entry count (for tests).

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/tensor"
 	"repro/internal/trace"
+	"repro/internal/trace/request"
 )
 
 // fill gives t deterministic content derived from seed.
@@ -401,35 +402,69 @@ func TestFootprintGaugesTrack(t *testing.T) {
 	}
 }
 
-// TestTraceSpansEmitted verifies hits and singleflight waits land in
-// the serve/cache trace category.
+// TestTraceSpansEmitted verifies the cache's request-trace stages: a
+// traced lookup records serve/cache-miss then serve/cache-hit, and a
+// request parked on another request's flight records serve/cache-wait.
 func TestTraceSpansEmitted(t *testing.T) {
-	sess := trace.NewSession(0)
-	rec := sess.Recorder(0)
-	c := New(Config{MaxBytes: 1 << 20}, nil, rec)
+	store := request.NewStore(request.Config{SampleRate: 1})
+	met := NewMetrics(trace.NewMetrics())
+	c := New(Config{MaxBytes: 1 << 20}, met, nil)
 	x := fill(tensor.New(1, 3, 8, 8), 11)
 	k := MakeKey(GranImage, "m", "float32", 2, 48, x)
+
+	// Leader: a miss, then a flight held open until a waiter has parked.
+	lead := store.Start("")
+	leadCtx := request.NewContext(context.Background(), lead)
 	out := tensor.New(1, 3, 16, 16)
-	if err := c.Do(context.Background(), k, out, func(o *tensor.Tensor) error {
-		fill(o, 12)
-		return nil
-	}); err != nil {
+	if c.Lookup(leadCtx, k, out) {
+		t.Fatal("hit on an empty cache")
+	}
+	started, parked := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		leaderDone <- c.Do(leadCtx, k, out, func(o *tensor.Tensor) error {
+			close(started)
+			<-parked
+			fill(o, 12)
+			return nil
+		})
+	}()
+	<-started
+	waiter := store.Start("")
+	waitOut := tensor.New(1, 3, 16, 16)
+	waiterDone := make(chan error, 1)
+	go func() {
+		waiterDone <- c.Do(request.NewContext(context.Background(), waiter), k, waitOut, func(*tensor.Tensor) error {
+			t.Error("waiter must not compute")
+			return nil
+		})
+	}()
+	for met.InflightWaits.Value() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(parked)
+	if err := <-leaderDone; err != nil {
 		t.Fatal(err)
 	}
-	if !c.Get(k, out) {
-		t.Fatal("miss")
+	if err := <-waiterDone; err != nil {
+		t.Fatal(err)
 	}
-	var cacheSpans int
-	for _, s := range rec.Spans() {
-		if s.Cat == trace.CatServeCache {
-			cacheSpans++
+	if !c.Lookup(leadCtx, k, out) {
+		t.Fatal("miss after the flight landed")
+	}
+	store.Finish(lead, 200)
+	store.Finish(waiter, 200)
+
+	stages := map[request.Stage]int{}
+	for _, tr := range store.Retained() {
+		for _, sp := range tr.Spans {
+			stages[sp.Stage]++
 		}
 	}
-	if cacheSpans == 0 {
-		t.Fatal("no serve/cache spans recorded for a cache hit")
-	}
-	if trace.CatServeCache.String() != "serve/cache" || trace.CatServeCache.Group() != "serve" {
-		t.Fatalf("category naming: %q / %q", trace.CatServeCache.String(), trace.CatServeCache.Group())
+	for _, want := range []request.Stage{request.StageServeCacheMiss, request.StageServeCacheHit, request.StageServeCacheWait} {
+		if stages[want] != 1 {
+			t.Fatalf("%s spans %d, want 1 (stages %v)", want, stages[want], stages)
+		}
 	}
 }
 

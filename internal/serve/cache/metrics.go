@@ -4,8 +4,8 @@ import "repro/internal/trace"
 
 // Metrics bundles the result-cache instruments, registered on the same
 // trace.Metrics registry as the sr_* serving counters and scraped from
-// the shared /metrics endpoint. Every method tolerates a nil receiver
-// (observability off), matching the serve.Metrics convention, so the
+// the shared /metrics endpoint. NewMetrics(nil) returns a bundle of
+// no-op instruments, which New substitutes for a nil bundle, so the
 // lookup hot path needs no enabled-checks.
 type Metrics struct {
 	// Hits and Misses partition lookups: a hit copies a stored result
@@ -26,68 +26,16 @@ type Metrics struct {
 	Entries *trace.Gauge
 }
 
-// NewMetrics registers the cache instruments on m (nil m → nil bundle,
-// metrics off).
+// NewMetrics registers the cache instruments on m (nil m → a bundle of
+// no-op instruments).
 func NewMetrics(m *trace.Metrics) *Metrics {
-	if m == nil {
-		return nil
-	}
 	return &Metrics{
 		Hits:            m.Counter("sr_cache_hit_total", "Result-cache hits (forward skipped, stored tensor copied out)."),
-		Misses:          m.Counter("sr_cache_miss_total", "Result-cache misses (request computed a forward)."),
+		Misses:          m.Counter("sr_cache_miss_total", "Result-cache lookups that found nothing (the request computes or joins an in-flight forward)."),
 		Evictions:       m.Counter("sr_cache_evict_total", "Entries evicted to stay inside the byte budget."),
 		InflightWaits:   m.Counter("sr_cache_inflight_wait_total", "Requests collapsed onto another request's in-flight forward."),
 		InflightCancels: m.Counter("sr_cache_inflight_cancel_total", "Singleflight waiters cancelled by their request context."),
 		Bytes:           m.Gauge("sr_cache_bytes", "Bytes of upscaled tensors currently cached."),
 		Entries:         m.Gauge("sr_cache_entries", "Entries currently cached."),
 	}
-}
-
-// hit records one lookup that was served from the cache.
-func (m *Metrics) hit() {
-	if m == nil {
-		return
-	}
-	m.Hits.Inc()
-}
-
-// miss records one lookup that fell through to compute.
-func (m *Metrics) miss() {
-	if m == nil {
-		return
-	}
-	m.Misses.Inc()
-}
-
-// evicted records n entries dropped by the byte budget.
-func (m *Metrics) evicted(n int) {
-	if m == nil {
-		return
-	}
-	m.Evictions.Add(int64(n))
-}
-
-// inflightWait records a request parking on an in-flight forward.
-func (m *Metrics) inflightWait() {
-	if m == nil {
-		return
-	}
-	m.InflightWaits.Inc()
-}
-
-// inflightCancel records a waiter unblocked by context cancellation.
-func (m *Metrics) inflightCancel() {
-	if m == nil {
-		return
-	}
-	m.InflightCancels.Inc()
-}
-
-// footprint records the live byte and entry totals.
-func (m *Metrics) footprint(bytes int64, entries int) {
-	if m == nil {
-		return
-	}
-	m.Bytes.Set(float64(bytes))
-	m.Entries.Set(float64(entries))
 }

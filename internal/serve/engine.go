@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/serve/cache"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 	rtrace "repro/internal/trace/request"
 )
 
@@ -67,26 +65,35 @@ type Engine struct {
 	mods  map[string]*modelEntry
 	order []string
 
-	cache *cache.Cache
-
-	met *Metrics
-	rec *trace.Recorder
+	cache  *cache.Cache
+	met    *Metrics
+	traces *rtrace.Store
 }
 
-// NewEngine creates an engine; met and rec may be nil (observability
-// off).
-func NewEngine(cfg EngineConfig, met *Metrics, rec *trace.Recorder) *Engine {
+// NewEngine creates an engine. met may be nil (metrics off). traces is
+// the request-trace store the server records into and serves from
+// /debug/traces; nil selects the default tail-sampled store.
+func NewEngine(cfg EngineConfig, met *Metrics, traces *rtrace.Store) *Engine {
 	if cfg.TileSize == 0 {
 		cfg.TileSize = 48
 	}
+	if met == nil {
+		met = NewMetrics(nil)
+	}
+	if traces == nil {
+		traces = rtrace.NewStore(rtrace.Config{})
+	}
 	return &Engine{
-		cfg:   cfg,
-		mods:  map[string]*modelEntry{},
-		cache: cache.New(cfg.Cache, met.cacheMetrics(), rec),
-		met:   met,
-		rec:   rec,
+		cfg:    cfg,
+		mods:   map[string]*modelEntry{},
+		cache:  cache.New(cfg.Cache, met.Cache, nil),
+		met:    met,
+		traces: traces,
 	}
 }
+
+// TraceStore returns the engine's request-trace store.
+func (e *Engine) TraceStore() *rtrace.Store { return e.traces }
 
 // Cache returns the engine's result cache (nil when caching is off),
 // for tests and benchmarks that inspect hit ratios.
@@ -109,7 +116,7 @@ func (e *Engine) RegisterInfo(name string, f Factory, variant string, psnr *floa
 		return fmt.Errorf("serve: model %q already registered", name)
 	}
 	e.mods[name] = &modelEntry{
-		b:       NewBatcher(f, e.cfg.Batch, e.met, e.rec),
+		b:       NewBatcher(f, e.cfg.Batch, e.met),
 		variant: variant,
 		psnr:    psnr,
 	}
@@ -180,22 +187,16 @@ func (e *Engine) UpscaleCtx(ctx context.Context, name string, x *tensor.Tensor) 
 	if err := checkInput(x, b.Colors()); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
 	}
-	began := time.Now()
-	start := e.rec.Now()
+	began := rtrace.Now()
 	c, h, w := x.Dim(1), x.Dim(2), x.Dim(3)
 	s := b.Scale()
 	out := tensor.New(1, c, h*s, w*s)
 
-	a := rtrace.FromContext(ctx)
 	if e.cache == nil {
 		err = e.forward(ctx, ent, name, x, out)
 	} else {
 		k := cache.MakeKey(cache.GranImage, name, ent.variant, s, e.cfg.TileSize, x)
-		cstart := a.Now()
-		if e.cache.Get(k, out) {
-			a.EmitStage(rtrace.StageServeCacheHit, a.Root(), cstart, out.Bytes())
-		} else {
-			a.EmitStage(rtrace.StageServeCacheMiss, a.Root(), cstart, 0)
+		if !e.cache.Lookup(ctx, k, out) {
 			err = e.cache.Do(ctx, k, out, func(o *tensor.Tensor) error {
 				return e.forward(ctx, ent, name, x, o)
 			})
@@ -204,8 +205,7 @@ func (e *Engine) UpscaleCtx(ctx context.Context, name string, x *tensor.Tensor) 
 	if err != nil {
 		return nil, err
 	}
-	e.rec.Emit(trace.CatServeRequest, trace.TrackMain, start, x.Bytes())
-	e.met.observeRequest(time.Since(began))
+	e.met.RequestSeconds.Observe(float64(rtrace.Now()-began) / 1e9)
 	return out, nil
 }
 
@@ -224,7 +224,7 @@ func (e *Engine) forward(ctx context.Context, ent *modelEntry, name string, x, o
 	}
 	a := rtrace.FromContext(ctx)
 	tiles := SplitTiles(h, w, tile, b.Halo())
-	e.met.tiled(len(tiles))
+	e.met.Tiles.Add(int64(len(tiles)))
 	errs := make([]error, len(tiles))
 	outs := make([]*tensor.Tensor, len(tiles))
 	var wg sync.WaitGroup
@@ -239,9 +239,7 @@ func (e *Engine) forward(ctx context.Context, ent *modelEntry, name string, x, o
 				return
 			}
 			k := cache.MakeKey(cache.GranTile, name, ent.variant, s, tile, xt)
-			cstart := a.Now()
-			if e.cache.Get(k, outs[i]) {
-				a.EmitStage(rtrace.StageServeCacheHit, a.Root(), cstart, outs[i].Bytes())
+			if e.cache.Lookup(ctx, k, outs[i]) {
 				return
 			}
 			errs[i] = e.cache.Do(ctx, k, outs[i], func(o *tensor.Tensor) error {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/imageio"
 	"repro/internal/trace"
@@ -39,36 +38,28 @@ type Server struct {
 
 // NewServer wires the engine into an http.Handler. reg and met may be
 // nil (no /metrics endpoint, no counters); maxBody <= 0 selects
-// DefaultMaxBodyBytes. Request tracing is on by default (tail-sampled,
-// bounded memory) and served from /debug/traces; SetTraceStore swaps in
-// a store with non-default knobs.
+// DefaultMaxBodyBytes. Requests are traced into the engine's store
+// (tail-sampled, bounded memory), served from /debug/traces.
 func NewServer(e *Engine, reg *trace.Metrics, met *Metrics, maxBody int64) *Server {
 	if maxBody <= 0 {
 		maxBody = DefaultMaxBodyBytes
 	}
+	if met == nil {
+		met = NewMetrics(nil)
+	}
 	s := &Server{
 		e: e, reg: reg, met: met, maxBody: maxBody,
-		traces: rtrace.NewStore(rtrace.Config{}),
+		traces: e.TraceStore(),
 		mux:    http.NewServeMux(),
 	}
 	s.mux.HandleFunc("/v1/upscale", s.handleUpscale)
 	s.mux.HandleFunc("/v1/models", s.handleModels)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		s.traces.Handler().ServeHTTP(w, r)
-	})
+	s.mux.Handle("/debug/traces", s.traces.Handler())
 	if reg != nil {
 		s.mux.Handle("/metrics", reg.Handler())
 	}
 	return s
-}
-
-// SetTraceStore replaces the request-trace store (configure sampling
-// knobs before serving traffic).
-func (s *Server) SetTraceStore(st *rtrace.Store) {
-	if st != nil {
-		s.traces = st
-	}
 }
 
 // TraceStore returns the server's request-trace store.
@@ -92,7 +83,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // balancer that sees a bare 503 from a draining replica hot-retries
 // it, while Retry-After tells it to back off for the drain window.
 func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
-	s.met.httpOutcome(code)
+	s.met.Outcome(code)
 	switch code {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", "1")
@@ -107,16 +98,16 @@ func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 // sampler keeps the trace — is linked from the latency histogram as an
 // exemplar.
 func (s *Server) handleUpscale(w http.ResponseWriter, r *http.Request) {
-	s.met.httpRequest()
+	s.met.Requests.Inc()
 	a := s.traces.Start(r.Header.Get("traceparent"))
-	began := time.Now()
+	began := rtrace.Now()
 	if a != nil {
 		w.Header().Set("X-Trace-Id", a.TraceID().String())
 		r = r.WithContext(rtrace.NewContext(r.Context(), a))
 	}
 	status := s.doUpscale(w, r, a)
 	if id, kept := s.traces.Finish(a, status); kept {
-		s.met.requestExemplar(time.Since(began).Seconds(), id.String())
+		s.met.RequestSeconds.Exemplar(float64(rtrace.Now()-began)/1e9, id.String())
 	}
 }
 
@@ -154,7 +145,7 @@ func (s *Server) doUpscale(w http.ResponseWriter, r *http.Request, a *rtrace.Act
 	case err == nil:
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// Client gone: nothing to write, just account for it.
-		s.met.httpOutcome(statusClientClosedRequest)
+		s.met.Outcome(statusClientClosedRequest)
 		return statusClientClosedRequest
 	case errors.Is(err, ErrOverloaded):
 		s.fail(w, http.StatusTooManyRequests, err.Error())
@@ -176,11 +167,11 @@ func (s *Server) doUpscale(w http.ResponseWriter, r *http.Request, a *rtrace.Act
 	estart := a.Now()
 	if err := imageio.WritePNG(w, out); err != nil {
 		// Headers are gone; all we can do is count it.
-		s.met.httpOutcome(http.StatusInternalServerError)
+		s.met.Outcome(http.StatusInternalServerError)
 		return http.StatusInternalServerError
 	}
 	a.EmitStage(rtrace.StageServeEncode, a.Root(), estart, out.Bytes())
-	s.met.httpOutcome(http.StatusOK)
+	s.met.Outcome(http.StatusOK)
 	return http.StatusOK
 }
 
@@ -188,7 +179,7 @@ func (s *Server) doUpscale(w http.ResponseWriter, r *http.Request, a *rtrace.Act
 // accounting as upscale so the sr_requests_total partition covers
 // every endpoint.
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	s.met.httpRequest()
+	s.met.Requests.Inc()
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		s.fail(w, http.StatusMethodNotAllowed, "GET only")
@@ -197,10 +188,10 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(s.e.Models()); err != nil {
 		// Headers are gone; all we can do is count it.
-		s.met.httpOutcome(http.StatusInternalServerError)
+		s.met.Outcome(http.StatusInternalServerError)
 		return
 	}
-	s.met.httpOutcome(http.StatusOK)
+	s.met.Outcome(http.StatusOK)
 }
 
 // handleHealth is GET /healthz: 200 while serving, 503 while draining.
@@ -208,11 +199,11 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 // balancers poll this endpoint and must back off, not hot-retry, a
 // replica in its lame-duck window.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	s.met.httpRequest()
+	s.met.Requests.Inc()
 	if s.draining.Load() {
 		s.fail(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	fmt.Fprintln(w, "ok")
-	s.met.httpOutcome(http.StatusOK)
+	s.met.Outcome(http.StatusOK)
 }

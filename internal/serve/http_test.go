@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -370,8 +371,9 @@ func TestServerStatusHeaderContract(t *testing.T) {
 	expect(do(http.MethodPost, "/v1/models", img()), http.StatusMethodNotAllowed,
 		map[string]string{"Allow": "GET"}, "POST models")
 
-	// 404 for an unregistered model.
+	// 404 for an unregistered model, 400 for a body that is not a PNG.
 	expect(do(http.MethodPost, "/v1/upscale?model=nope", img()), http.StatusNotFound, nil, "unknown model")
+	expect(do(http.MethodPost, "/v1/upscale", []byte("not a png")), http.StatusBadRequest, nil, "garbage body")
 
 	// 413 when the body exceeds the configured cap.
 	tiny := NewServer(e, reg, met, 64)
@@ -440,13 +442,49 @@ func TestServerStatusHeaderContract(t *testing.T) {
 	s.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	expect(rr, http.StatusServiceUnavailable, map[string]string{"Retry-After": "1"}, "draining healthz")
 
-	// Every request above must land in exactly one outcome bucket.
-	total := met.Requests.Value()
-	parts := met.Responses.Value() + met.Rejected.Value() + met.Errors.Value()
+	// Every request above lands in exactly one outcome bucket, read
+	// from the scrape itself (the /metrics request is not counted).
+	m := scrapeMetrics(t, s)
+	total := m["sr_requests_total"]
+	parts := m["sr_responses_total"] + m["sr_rejected_total"] + m["sr_errors_total"]
 	if total == 0 || total != parts {
-		t.Errorf("outcome partition: %d requests vs %d outcomes (responses %d, rejected %d, errors %d)",
-			total, parts, met.Responses.Value(), met.Rejected.Value(), met.Errors.Value())
+		t.Errorf("outcome partition: %g requests vs %g outcomes (responses %g, rejected %g, errors %g)",
+			total, parts, m["sr_responses_total"], m["sr_rejected_total"], m["sr_errors_total"])
 	}
+	// Five requests reached the result cache (A, B, shed C, leader D,
+	// cancelled waiter E); each is one lookup, a hit or a miss.
+	if got := m["sr_cache_hit_total"] + m["sr_cache_miss_total"]; got != 5 {
+		t.Errorf("cache lookups: hit %g + miss %g, want 5", m["sr_cache_hit_total"], m["sr_cache_miss_total"])
+	}
+}
+
+// scrapeMetrics GETs /metrics from h and parses the Prometheus text
+// exposition into sample → value; a sample keeps its labels and
+// histogram suffix in its name, and exemplars are dropped.
+func scrapeMetrics(t *testing.T, h http.Handler) map[string]float64 {
+	t.Helper()
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("/metrics: %d", rr.Code)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(rr.Body.String(), "\n") {
+		line, _, _ = strings.Cut(line, " # ")
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			t.Fatalf("/metrics: malformed sample %q", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics: sample %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
 }
 
 // waitFor polls cond until it holds or the deadline expires.

@@ -18,8 +18,14 @@ import (
 // (same trace ID echoed back), and a malformed one degrades to a fresh
 // mint — never an error.
 func TestUpscaleTraceHeaders(t *testing.T) {
-	s, _ := newTestServer(t, 64, BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond})
-	s.SetTraceStore(rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: 1}))
+	master := models.NewEDSR(models.EDSRTiny(), tensor.NewRNG(11))
+	e := NewEngine(EngineConfig{Batch: BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond}, TileSize: 64},
+		nil, rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: 1}))
+	if err := e.Register("edsr", EDSRFactory(master)); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	t.Cleanup(e.Shutdown)
+	s := NewServer(e, nil, nil, 0)
 	png := encodePNG(t, randImage(tensor.NewRNG(31), 3, 9, 9))
 
 	rr := postPNG(s, "/v1/upscale?model=edsr", png)
@@ -75,13 +81,13 @@ func TestMetricsEndpointContract(t *testing.T) {
 	trace.RegisterRuntimeMetrics(reg)
 	met := NewMetrics(reg)
 	master := models.NewEDSR(models.EDSRTiny(), tensor.NewRNG(11))
-	e := NewEngine(EngineConfig{Batch: BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond}}, met, nil)
+	e := NewEngine(EngineConfig{Batch: BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond}},
+		met, rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: 1}))
 	if err := e.Register("edsr", EDSRFactory(master)); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	t.Cleanup(e.Shutdown)
 	s := NewServer(e, reg, met, 0)
-	s.SetTraceStore(rtrace.NewStore(rtrace.Config{Capacity: 8, SampleRate: 1}))
 
 	png := encodePNG(t, randImage(tensor.NewRNG(37), 3, 9, 9))
 	if rr := postPNG(s, "/v1/upscale?model=edsr", png); rr.Code != http.StatusOK {

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"time"
-
 	"repro/internal/serve/cache"
 	"repro/internal/trace"
 )
@@ -12,16 +10,15 @@ var BatchBuckets = []float64{1, 2, 4, 8, 16, 32}
 
 // Metrics bundles the serving instruments, registered on a trace.Metrics
 // registry and scraped from the same /metrics endpoint the trainer uses.
-// Like trace.TrainMetrics, every method tolerates a nil receiver, so the
-// engine and batcher need no enabled-checks on the hot path.
+// NewMetrics(nil) returns a bundle of nil instruments, each a no-op; the
+// engine, batcher and server substitute it for a nil bundle once, at
+// construction, and use the instruments directly after that.
 type Metrics struct {
-	// Requests counts HTTP upscale requests received; Responses,
-	// Rejected, and Errors partition their outcomes (2xx / 429+503 /
-	// other).
-	Requests  *trace.Counter
-	Responses *trace.Counter
-	Rejected  *trace.Counter
-	Errors    *trace.Counter
+	// Requests counts HTTP requests received; the embedded Outcomes
+	// (Responses, Rejected, Errors) partition their outcomes (2xx /
+	// 429+503 / other).
+	Requests *trace.Counter
+	trace.Outcomes
 	// Submits counts batcher submissions (a tiled request submits once
 	// per tile); Batches counts coalesced forwards, and BatchSize
 	// histograms how full they were.
@@ -50,17 +47,16 @@ type Metrics struct {
 	Cache *cache.Metrics
 }
 
-// NewMetrics registers the serving instruments on m (nil m → nil bundle,
-// metrics off).
+// NewMetrics registers the serving instruments on m (nil m → a bundle
+// of no-op instruments).
 func NewMetrics(m *trace.Metrics) *Metrics {
-	if m == nil {
-		return nil
-	}
 	return &Metrics{
-		Requests:          m.Counter("sr_requests_total", "HTTP upscale requests received."),
-		Responses:         m.Counter("sr_responses_total", "Successful upscale responses."),
-		Rejected:          m.Counter("sr_rejected_total", "Requests rejected by backpressure (429) or drain (503)."),
-		Errors:            m.Counter("sr_errors_total", "Requests failed with a client or server error."),
+		Requests: m.Counter("sr_requests_total", "HTTP requests received (upscale, models, healthz)."),
+		Outcomes: trace.Outcomes{
+			Responses: m.Counter("sr_responses_total", "Requests answered 2xx."),
+			Rejected:  m.Counter("sr_rejected_total", "Requests rejected by backpressure (429) or drain (503)."),
+			Errors:    m.Counter("sr_errors_total", "Requests failed with a client or server error."),
+		},
 		Submits:           m.Counter("sr_submits_total", "Batcher submissions (tiles submit individually)."),
 		Batches:           m.Counter("sr_batches_total", "Coalesced micro-batch forwards."),
 		BatchSize:         m.Histogram("sr_batch_size", "Images per coalesced forward.", BatchBuckets),
@@ -74,117 +70,4 @@ func NewMetrics(m *trace.Metrics) *Metrics {
 		RequestSeconds:    m.Histogram("sr_request_seconds", "End-to-end upscale latency (queue + batching + forward).", trace.DurationBuckets),
 		Cache:             cache.NewMetrics(m),
 	}
-}
-
-// cacheMetrics unwraps the cache bundle, tolerating a nil receiver.
-func (m *Metrics) cacheMetrics() *cache.Metrics {
-	if m == nil {
-		return nil
-	}
-	return m.Cache
-}
-
-// submitted records an accepted submission and the resulting queue depth.
-func (m *Metrics) submitted(depth int) {
-	if m == nil {
-		return
-	}
-	m.Submits.Inc()
-	m.QueueDepth.Set(float64(depth))
-}
-
-// tiled records a request split into n tiles.
-func (m *Metrics) tiled(n int) {
-	if m == nil {
-		return
-	}
-	m.Tiles.Add(int64(n))
-}
-
-// httpRequest records one HTTP request arrival.
-func (m *Metrics) httpRequest() {
-	if m == nil {
-		return
-	}
-	m.Requests.Inc()
-}
-
-// httpOutcome records the response status: 2xx → Responses, 429/503 →
-// Rejected, anything else → Errors.
-func (m *Metrics) httpOutcome(code int) {
-	if m == nil {
-		return
-	}
-	switch {
-	case code >= 200 && code < 300:
-		m.Responses.Inc()
-	case code == 429 || code == 503:
-		m.Rejected.Inc()
-	default:
-		m.Errors.Inc()
-	}
-}
-
-// batched records one coalesced forward of n images and the queue depth
-// after it was pulled.
-func (m *Metrics) batched(n, depth int) {
-	if m == nil {
-		return
-	}
-	m.Batches.Inc()
-	m.BatchSize.Observe(float64(n))
-	m.QueueDepth.Set(float64(depth))
-}
-
-// closeReason says why a worker stopped collecting into a batch.
-type closeReason int
-
-const (
-	closeFull closeReason = iota
-	closeTimeout
-	closeShape
-	closeDrain
-)
-
-// batchClosed records why a batch stopped collecting.
-func (m *Metrics) batchClosed(r closeReason) {
-	if m == nil {
-		return
-	}
-	switch r {
-	case closeFull:
-		m.BatchCloseFull.Inc()
-	case closeTimeout:
-		m.BatchCloseTimeout.Inc()
-	case closeShape:
-		m.BatchCloseShape.Inc()
-	case closeDrain:
-		m.BatchCloseDrain.Inc()
-	}
-}
-
-// queueWait records one request's time in the queue.
-func (m *Metrics) queueWait(sec float64) {
-	if m == nil {
-		return
-	}
-	m.QueueSeconds.Observe(sec)
-}
-
-// requestExemplar links a retained trace ID to the latency bucket its
-// request landed in, so a scrape can jump from a slow bucket straight
-// to /debug/traces.
-func (m *Metrics) requestExemplar(sec float64, traceID string) {
-	if m == nil {
-		return
-	}
-	m.RequestSeconds.Exemplar(sec, traceID)
-}
-
-// observeRequest records one engine request's end-to-end latency.
-func (m *Metrics) observeRequest(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.RequestSeconds.Observe(d.Seconds())
 }

@@ -20,8 +20,9 @@
 //     single request would leave idle.
 //   - Engine ties a model Registry to per-model batchers, routes large
 //     images through the tiler (tiles re-enter the batcher, so tiles
-//     from different requests share batches), and feeds the PR 4
-//     observability stack (serve/* spans, Prometheus instruments).
+//     from different requests share batches), and records each
+//     request's stages into its request trace (trace/request) beside
+//     the sr_* Prometheus instruments.
 //   - Server is the HTTP layer: POST a PNG, get the upscaled PNG back,
 //     with backpressure (bounded queue → 429) and graceful drain.
 package serve

@@ -399,9 +399,10 @@ var DurationBuckets = []float64{
 }
 
 // TrainMetrics bundles the live training instruments the trainer, the
-// Horovod engine, and the elastic driver update. All fields tolerate a
-// nil receiver, and NewTrainMetrics(nil) returns nil, so instrumented
-// code needs no enabled-checks.
+// Horovod engine, and the elastic driver update. NewTrainMetrics(nil)
+// returns a bundle of nil instruments, each a no-op, so instrumented
+// code substitutes it once for a missing bundle and needs no
+// enabled-checks after that.
 type TrainMetrics struct {
 	// Steps and Images count completed optimization steps and globally
 	// processed images (rank 0 updates them).
@@ -428,9 +429,6 @@ type TrainMetrics struct {
 
 // NewTrainMetrics registers the standard training instruments on m.
 func NewTrainMetrics(m *Metrics) *TrainMetrics {
-	if m == nil {
-		return nil
-	}
 	return &TrainMetrics{
 		Steps:          m.Counter("edsr_steps_total", "Completed optimization steps."),
 		Images:         m.Counter("edsr_images_total", "Images processed across all ranks."),
@@ -456,15 +454,34 @@ func (t *TrainMetrics) GobEncode() ([]byte, error) { return nil, nil }
 func (t *TrainMetrics) GobDecode([]byte) error { return nil }
 
 // ObserveStep records one completed step: n images in d, at the given
-// running throughput. Nil-safe.
+// running throughput.
 func (t *TrainMetrics) ObserveStep(n int, d time.Duration, imgPerSec float64) {
-	if t == nil {
-		return
-	}
 	t.Steps.Inc()
 	t.Images.Add(int64(n))
 	t.StepSeconds.Observe(d.Seconds())
 	if imgPerSec > 0 {
 		t.ImagesPerSec.Set(imgPerSec)
+	}
+}
+
+// Outcomes partitions HTTP responses the way every serving tier counts
+// them: 2xx → Responses, 429 or 503 (backpressure, drain) → Rejected,
+// anything else → Errors. With a requests counter beside it,
+// requests = Responses + Rejected + Errors is a tested identity.
+type Outcomes struct {
+	Responses *Counter
+	Rejected  *Counter
+	Errors    *Counter
+}
+
+// Outcome counts one response status in its partition.
+func (o *Outcomes) Outcome(code int) {
+	switch {
+	case code >= 200 && code < 300:
+		o.Responses.Inc()
+	case code == 429 || code == 503:
+		o.Rejected.Inc()
+	default:
+		o.Errors.Inc()
 	}
 }

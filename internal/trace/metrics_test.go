@@ -42,10 +42,12 @@ func TestNilMetricsSafe(t *testing.T) {
 	if err := m.WritePrometheus(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	var tm *TrainMetrics
+	// A nil registry yields a bundle of no-op instruments, not a nil
+	// bundle: consumers substitute it once and never check again.
+	tm := NewTrainMetrics(nil)
 	tm.ObserveStep(4, time.Second, 10)
-	if NewTrainMetrics(nil) != nil {
-		t.Fatal("NewTrainMetrics(nil) should be nil")
+	if tm.Steps != nil || tm.Steps.Value() != 0 {
+		t.Fatal("NewTrainMetrics(nil) instruments should be nil no-ops")
 	}
 }
 

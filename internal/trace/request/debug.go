@@ -1,10 +1,12 @@
 package request
 
 import (
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
+
+	"repro/internal/trace"
 )
 
 // AttrRow is one line of a trace's per-stage latency attribution.
@@ -108,7 +110,7 @@ func (s *Store) Handler() http.Handler {
 		switch r.URL.Query().Get("format") {
 		case "perfetto", "json":
 			w.Header().Set("Content-Type", "application/json")
-			s.writePerfetto(w)
+			_ = s.WriteChromeTrace(w) // a failed write means the client left
 		default:
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			s.writeText(w)
@@ -146,28 +148,19 @@ func (s *Store) writeText(w http.ResponseWriter) {
 	}
 }
 
-// traceEvent is one Chrome trace_event record (the "JSON array format"
-// Perfetto ingests directly).
-type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// writePerfetto exports every retained trace as one Perfetto "process":
-// the root span on lane 0, concurrent spans (hedge attempts, tile
-// forwards) fanned out to the first free lane so overlap is visible.
-func (s *Store) writePerfetto(w http.ResponseWriter) {
+// WriteChromeTrace exports every retained trace in Chrome trace_event
+// JSON through the same writer as training timelines (trace.WriteChrome):
+// one process per trace, slowest first, the root span on lane 0 and
+// concurrent spans (hedge attempts, tile forwards) fanned out to the
+// first free lane so overlap is visible. Load it in ui.perfetto.dev or
+// chrome://tracing.
+func (s *Store) WriteChromeTrace(w io.Writer) error {
 	traces := s.Retained()
 	sort.Slice(traces, func(i, j int) bool { return traces[i].Dur > traces[j].Dur })
-	events := make([]traceEvent, 0, 64)
+	var evs []trace.ChromeEvent
 	for pid, t := range traces {
 		base := float64(t.Wall.UnixNano()) / 1e3
-		events = append(events, traceEvent{
+		evs = append(evs, trace.ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid,
 			Args: map[string]any{"name": fmt.Sprintf("trace %s · %d · kept=%s", t.ID, t.Status, t.KeptFor)},
 		})
@@ -178,7 +171,6 @@ func (s *Store) writePerfetto(w http.ResponseWriter) {
 		copy(spans, t.Spans)
 		sort.Slice(spans, func(i, j int) bool { return spans[i].Start < spans[j].Start })
 		laneEnd := []int64{t.Dur} // lane 0 reserved for the root
-		maxLane := 0
 		for _, sp := range spans {
 			lane := 0
 			if sp.Stage != StageRoot {
@@ -194,9 +186,6 @@ func (s *Store) writePerfetto(w http.ResponseWriter) {
 					laneEnd = append(laneEnd, 0)
 				}
 				laneEnd[lane] = sp.Start + sp.Dur
-				if lane > maxLane {
-					maxLane = lane
-				}
 			}
 			args := map[string]any{
 				"trace_id": t.ID.String(),
@@ -216,24 +205,25 @@ func (s *Store) writePerfetto(w http.ResponseWriter) {
 			if sp.Flags&FlagWinner != 0 {
 				name += " ★"
 			}
-			events = append(events, traceEvent{
-				Name: name, Ph: "X",
-				Ts: base + float64(sp.Start)/1e3, Dur: float64(sp.Dur) / 1e3,
-				Pid: pid, Tid: lane, Args: args,
-			})
+			ev := trace.ChromeEvent{
+				Name: name, Cat: "request", Ph: "X", Pid: pid, Tid: lane,
+				Ts: base + float64(sp.Start)/1e3, Dur: float64(sp.Dur) / 1e3, Args: args,
+			}
+			if sp.Dur <= 0 {
+				ev.Ph, ev.S = "i", "t" // a zero-length stage is an instant
+			}
+			evs = append(evs, ev)
 		}
-		events = append(events, traceEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: 0,
-			Args: map[string]any{"name": "request"},
-		})
-		for l := 1; l <= maxLane; l++ {
-			events = append(events, traceEvent{
+		for l := range laneEnd {
+			lname := "request"
+			if l > 0 {
+				lname = fmt.Sprintf("lane %d", l)
+			}
+			evs = append(evs, trace.ChromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pid, Tid: l,
-				Args: map[string]any{"name": fmt.Sprintf("lane %d", l)},
+				Args: map[string]any{"name": lname},
 			})
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(map[string]any{"traceEvents": events})
+	return trace.WriteChrome(w, evs)
 }

@@ -104,3 +104,29 @@ func TestIDUniqueness(t *testing.T) {
 		spans[id] = true
 	}
 }
+
+// FuzzParseTraceparent holds the one decoder of a client-supplied
+// header to three properties on arbitrary input: it never panics; an
+// accepted header has a non-zero trace ID and parent; and formatting
+// what it accepted parses back to the same pair.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(Traceparent(TraceID{Hi: 0xdead, Lo: 0xbeef}, 0x1234))
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("00-00000000000000000000000000000000-00f067aa0ba902b7-01")
+	f.Add("ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Add("00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-0g")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, h string) {
+		id, parent, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if id.IsZero() || parent == 0 {
+			t.Fatalf("accepted %q with a zero ID: (%v, %x)", h, id, parent)
+		}
+		id2, parent2, ok2 := ParseTraceparent(Traceparent(id, parent))
+		if !ok2 || id2 != id || parent2 != parent {
+			t.Fatalf("%q → (%v, %x) does not round-trip: (%v, %x, %v)", h, id, parent, id2, parent2, ok2)
+		}
+	})
+}

@@ -40,10 +40,12 @@ func (t *Timeline) NumSpans() int {
 	return n
 }
 
-// traceEvent is one entry of the Chrome trace_event JSON format
-// (loadable in Perfetto and chrome://tracing). ts and dur are
-// microseconds; pid is the rank, tid the goroutine track.
-type traceEvent struct {
+// ChromeEvent is one entry of the Chrome trace_event JSON format
+// (loadable in Perfetto and chrome://tracing): ts and dur are
+// microseconds, pid/tid name the process and thread lanes. It is the
+// one event type every tier exports — training and simulated timelines
+// here, retained request traces in trace/request.
+type ChromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
@@ -55,10 +57,25 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// chromeTrace is the top-level JSON object.
-type chromeTrace struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
+// WriteChrome writes evs as a Chrome trace JSON object with
+// displayTimeUnit "ms". Metadata ("M") events go first, so viewers
+// label tracks before the first sample arrives; the rest follow in
+// timestamp order, ties kept in the order given. evs is sorted in place.
+func WriteChrome(w io.Writer, evs []ChromeEvent) error {
+	if evs == nil {
+		evs = []ChromeEvent{} // an empty trace is [], not null
+	}
+	sort.SliceStable(evs, func(i, j int) bool {
+		mi, mj := evs[i].Ph == "M", evs[j].Ph == "M"
+		if mi != mj {
+			return mi
+		}
+		return evs[i].Ts < evs[j].Ts
+	})
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []ChromeEvent `json:"traceEvents"`
+		DisplayTimeUnit string        `json:"displayTimeUnit"`
+	}{evs, "ms"})
 }
 
 // WriteChromeTrace exports the timeline in Chrome trace_event JSON: one
@@ -66,9 +83,9 @@ type chromeTrace struct {
 // "horovod-engine"), complete ("X") events for timed spans and instant
 // ("i") events for zero-duration markers like grad-hook submissions.
 func (t *Timeline) WriteChromeTrace(w io.Writer) error {
-	var evs []traceEvent
+	var evs []ChromeEvent
 	for _, rt := range t.Ranks {
-		evs = append(evs, traceEvent{
+		evs = append(evs, ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: rt.Rank,
 			Args: map[string]any{"name": fmt.Sprintf("rank %d", rt.Rank)},
 		})
@@ -78,14 +95,14 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 		}
 		for track, used := range tracks {
 			if used {
-				evs = append(evs, traceEvent{
+				evs = append(evs, ChromeEvent{
 					Name: "thread_name", Ph: "M", Pid: rt.Rank, Tid: track,
 					Args: map[string]any{"name": Track(track).String()},
 				})
 			}
 		}
 		for _, s := range rt.Spans {
-			ev := traceEvent{
+			ev := ChromeEvent{
 				Name: s.Cat.String(),
 				Cat:  s.Cat.Group(),
 				Pid:  rt.Rank,
@@ -105,17 +122,7 @@ func (t *Timeline) WriteChromeTrace(w io.Writer) error {
 			evs = append(evs, ev)
 		}
 	}
-	// Sort metadata first, then by time, so viewers label tracks before
-	// the first sample arrives.
-	sort.SliceStable(evs, func(i, j int) bool {
-		mi, mj := evs[i].Ph == "M", evs[j].Ph == "M"
-		if mi != mj {
-			return mi
-		}
-		return evs[i].Ts < evs[j].Ts
-	})
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	return WriteChrome(w, evs)
 }
 
 // jsonlSpan is the line format of the JSONL span stream consumed by

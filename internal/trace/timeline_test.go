@@ -40,33 +40,48 @@ func TestChromeTraceSchema(t *testing.T) {
 	}
 }
 
-// CheckChromeTrace exports tl and validates the JSON against the
-// trace_event contract Perfetto expects: a traceEvents array whose
-// entries carry name/ph/pid/tid/ts (dur for complete events, s for
-// instants), non-negative timestamps and durations, metadata ahead of
-// the events naming every rank process and every goroutine track that
-// carries events. It returns the thread names keyed by (pid, tid).
-// Exported for the external e2e tests, which hold real and simulated
-// runs to the same rules.
+// CheckChromeTrace exports tl and validates it with CheckChromeJSON,
+// requiring a named process carrying events for every rank. It returns
+// the thread names keyed by (pid, tid). Exported for the external e2e
+// tests, which hold real and simulated runs to the same rules.
 func CheckChromeTrace(t *testing.T, tl *Timeline) map[[2]int]string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tl.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
+	threads, pids := CheckChromeJSON(t, buf.Bytes())
+	for _, rt := range tl.Ranks {
+		if !pids[rt.Rank] {
+			t.Fatalf("rank %d: no events under a named process", rt.Rank)
+		}
+	}
+	return threads
+}
+
+// CheckChromeJSON validates a Chrome trace payload against the
+// trace_event contract Perfetto expects: a traceEvents array whose
+// entries carry name/ph/pid/tid/ts (dur for complete events, s for
+// instants), non-negative timestamps and durations, displayTimeUnit
+// set, and metadata ahead of the events naming every process and every
+// thread that carries events. It returns the thread names keyed by
+// (pid, tid) and the pids that carry events. Exported so every tier's
+// export — training, simulated, and request traces — meets one set of
+// rules.
+func CheckChromeJSON(t *testing.T, data []byte) (threads map[[2]int]string, pids map[int]bool) {
+	t.Helper()
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 		Unit        string           `json:"displayTimeUnit"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
 	if doc.Unit != "ms" {
 		t.Fatalf("displayTimeUnit %q", doc.Unit)
 	}
 	processNames := map[int]bool{}
-	ranksSeen := map[int]bool{}
-	threadNames := map[[2]int]string{}
+	threads, pids = map[[2]int]string{}, map[int]bool{}
 	for i, ev := range doc.TraceEvents {
 		ph, _ := ev["ph"].(string)
 		name, _ := ev["name"].(string)
@@ -78,7 +93,7 @@ func CheckChromeTrace(t *testing.T, tl *Timeline) map[[2]int]string {
 		thread := [2]int{int(pid), int(tid)}
 		switch ph {
 		case "M":
-			if len(ranksSeen) > 0 {
+			if len(pids) > 0 {
 				t.Fatalf("metadata event %d after span events (viewers label tracks late)", i)
 			}
 			label, _ := ev["args"].(map[string]any)["name"].(string)
@@ -86,13 +101,13 @@ func CheckChromeTrace(t *testing.T, tl *Timeline) map[[2]int]string {
 			case "process_name":
 				processNames[int(pid)] = true
 			case "thread_name":
-				threadNames[thread] = label
+				threads[thread] = label
 			}
 			continue
 		case "X":
-			ts, dur := ev["ts"].(float64), ev["dur"].(float64)
-			if ts < 0 || dur <= 0 {
-				t.Fatalf("event %d: ts %g dur %g", i, ts, dur)
+			dur, ok := ev["dur"].(float64)
+			if !ok || dur <= 0 {
+				t.Fatalf("complete event %d: dur %v", i, ev["dur"])
 			}
 		case "i":
 			if s, _ := ev["s"].(string); s != "t" {
@@ -101,17 +116,15 @@ func CheckChromeTrace(t *testing.T, tl *Timeline) map[[2]int]string {
 		default:
 			t.Fatalf("event %d: unknown phase %q", i, ph)
 		}
-		ranksSeen[int(pid)] = true
-		if threadNames[thread] == "" {
-			t.Fatalf("event %d on unnamed thread %v", i, thread)
+		if ts, ok := ev["ts"].(float64); !ok || ts < 0 {
+			t.Fatalf("event %d: ts %v", i, ev["ts"])
+		}
+		pids[int(pid)] = true
+		if !processNames[int(pid)] || threads[thread] == "" {
+			t.Fatalf("event %d on unnamed process or thread %v", i, thread)
 		}
 	}
-	for _, rt := range tl.Ranks {
-		if !ranksSeen[rt.Rank] || !processNames[rt.Rank] {
-			t.Fatalf("rank %d: spans %v, process_name %v", rt.Rank, ranksSeen[rt.Rank], processNames[rt.Rank])
-		}
-	}
-	return threadNames
+	return threads, pids
 }
 
 func TestJSONLRoundTrip(t *testing.T) {

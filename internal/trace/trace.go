@@ -64,26 +64,10 @@ const (
 	// CatRestart marks an elastic restart boundary (state restore after
 	// a rank failure).
 	CatRestart
-	// Serving-path categories (internal/serve): one HTTP upscale request
-	// end to end, one coalesced micro-batch forward, and the time a
-	// request spent queued before a worker picked it up.
-	CatServeRequest
-	CatServeBatch
-	CatServeQueue
-	// CatServeCache covers result-cache activity on the serving path: a
-	// content-addressed hit (the span is the copy-out) or the time a
-	// request spent parked on another request's in-flight forward
-	// (singleflight wait).
-	CatServeCache
-	// CatRouterProxy covers one routed upscale request at the fleet
-	// router (internal/router): placement, the proxied backend exchange,
-	// and any hedged or retried attempts until a response was written
-	// back to the client.
-	CatRouterProxy
-	// Compressed-allreduce spans (appended — category values are wire
-	// format for recorded traces, so new entries only ever go at the
-	// end): fp16-packed ring, top-k sparsified ring with error feedback,
-	// and the two-level node-aware hierarchy.
+	// Compressed-allreduce spans: fp16-packed ring, top-k sparsified
+	// ring with error feedback, and the two-level node-aware hierarchy.
+	// Category values are not a persisted format (JSONL carries category
+	// names, CategoryOf maps them back), so entries may go anywhere.
 	CatAllreduceFP16
 	CatAllreduceTopK
 	CatAllreduceHier
@@ -109,11 +93,6 @@ var catNames = [numCategories]string{
 	"drain",
 	"checkpoint",
 	"restart",
-	"serve/request",
-	"serve/batch",
-	"serve/queue",
-	"serve/cache",
-	"router/proxy",
 	"allreduce/fp16",
 	"allreduce/topk",
 	"allreduce/hier",
@@ -190,10 +169,6 @@ func (c Category) Group() string {
 		return "engine"
 	case CatCheckpoint, CatRestart:
 		return "lifecycle"
-	case CatServeRequest, CatServeBatch, CatServeQueue, CatServeCache:
-		return "serve"
-	case CatRouterProxy:
-		return "router"
 	}
 	return "other"
 }

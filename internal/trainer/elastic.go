@@ -81,6 +81,9 @@ func TrainElastic(cfg ElasticConfig) (*models.EDSR, ElasticStats, error) {
 	if cfg.Train.Steps < 1 || cfg.Train.BatchSize < 1 {
 		return nil, stats, fmt.Errorf("trainer: invalid config: steps=%d batch=%d", cfg.Train.Steps, cfg.Train.BatchSize)
 	}
+	if cfg.Train.Metrics == nil {
+		cfg.Train.Metrics = noMetrics
+	}
 	ws := cfg.WorldSize
 	fault := normalizeFault(cfg.Fault)
 	for {
@@ -110,10 +113,8 @@ func TrainElastic(cfg ElasticConfig) (*models.EDSR, ElasticStats, error) {
 		// metrics so a trace of a recovered run shows where the old world
 		// ended and the shrunken one began.
 		cfg.Train.Trace.Recorder(0).EmitInstant(trace.CatRestart, trace.TrackMain, 0)
-		if tm := cfg.Train.Metrics; tm != nil {
-			tm.Restarts.Inc()
-			tm.FailedRanks.Add(int64(ws - survivors))
-		}
+		cfg.Train.Metrics.Restarts.Inc()
+		cfg.Train.Metrics.FailedRanks.Add(int64(ws - survivors))
 		ws = survivors
 		fault = mpi.NoFaults() // the injected fault fired; restarts run clean
 		stats.Restarts++
@@ -230,9 +231,12 @@ func trainRank(cfg ElasticConfig, c *mpi.Comm, st *trainState, out *rankProgress
 		}
 	}
 	if c != nil {
-		// Merge every rank's spans on rank 0 while the world is still
-		// healthy; failed attempts skip this (the trace keeps what rank 0
+		// Stop the engine first — its loop records negotiation spans
+		// until every rank has voted to shut down — then merge every
+		// rank's spans on rank 0 while the world is still healthy;
+		// failed attempts skip this (the trace keeps what rank 0
 		// recorded locally).
+		s.close()
 		tcfg.Trace.Gather(c, 0)
 	}
 	return nil

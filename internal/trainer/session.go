@@ -78,6 +78,9 @@ func ResumeSession(path string) (*Session, error) {
 // the parameters, so a peer dying during the broadcast still shuts the
 // engine down.
 func newSession(cfg Config, model SRModel, pre func(*tensor.Tensor) *tensor.Tensor, comm *mpi.Comm, fusion int64, st *trainState) (*Session, error) {
+	if cfg.Metrics == nil {
+		cfg.Metrics = noMetrics
+	}
 	s := &Session{Cfg: cfg, Model: model, pre: pre, world: 1, comm: comm, meter: metrics.ThroughputMeter{WarmupSteps: 1}}
 	if comm != nil {
 		s.rank, s.world = comm.Rank(), comm.Size()
@@ -180,11 +183,16 @@ func engineComm(cfg Config, c *mpi.Comm) *mpi.Comm {
 	return ec
 }
 
-// metrics returns the live-metrics bundle this rank updates: rank 0 only,
-// so per-step counters reflect global steps, not steps × world size.
+// noMetrics is the bundle of no-op instruments a session updates when it
+// reports no live metrics.
+var noMetrics = trace.NewTrainMetrics(nil)
+
+// metrics returns the live-metrics bundle this rank updates: Cfg.Metrics
+// on rank 0 only, so per-step counters reflect global steps, not steps ×
+// world size, and noMetrics elsewhere.
 func (s *Session) metrics() *trace.TrainMetrics {
 	if s.rank != 0 {
-		return nil
+		return noMetrics
 	}
 	return s.Cfg.Metrics
 }
@@ -199,9 +207,7 @@ func (s *Session) RunSteps(n int) (float64, error) {
 	cfg := &s.Cfg
 	rec := cfg.Trace.Recorder(s.rank)
 	tm := s.metrics()
-	if tm != nil {
-		tm.WorldSize.Set(float64(s.world))
-	}
+	tm.WorldSize.Set(float64(s.world))
 	schedule := nn.StepLRSchedule{Base: cfg.LR * float64(s.world), DecayEvery: cfg.LRDecayEvery, Gamma: 0.5}
 	loss := nn.L1Loss{}
 	images := cfg.BatchSize * s.world
@@ -307,9 +313,7 @@ func (s *Session) Save(path string) error {
 		}
 	}
 	rec.Emit(trace.CatCheckpoint, trace.TrackMain, span, 0)
-	if tm := s.metrics(); tm != nil {
-		tm.Checkpoints.Inc()
-	}
+	s.metrics().Checkpoints.Inc()
 	return nil
 }
 

@@ -59,9 +59,10 @@ type Config struct {
 	// every rank; gather the merged timeline with Trace.Timeline().
 	// Runtime-only, like Log: stripped before checkpoint serialization.
 	Trace *trace.Session
-	// Metrics, when non-nil, receives live counters/gauges/histograms
-	// (rank 0 updates them); serve with trace.ServeMetrics.
-	// Runtime-only, like Log.
+	// Metrics receives live counters/gauges/histograms (rank 0 updates
+	// them); serve with trace.ServeMetrics. Nil at construction means
+	// none: the session substitutes the empty bundle, so a caller that
+	// sets it afterwards sets a bundle, never nil. Runtime-only, like Log.
 	Metrics *trace.TrainMetrics
 }
 

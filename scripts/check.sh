@@ -46,6 +46,7 @@ fuzz FuzzDecodePNG ./internal/imageio/
 fuzz FuzzTopKEncodeDecode ./internal/collective/
 fuzz FuzzQuantizeU7RoundTrip ./internal/tensor/
 fuzz FuzzKeyDerivation ./internal/serve/cache/
+fuzz FuzzParseTraceparent ./internal/trace/request/
 
 echo "== tier 2: benchmark validate-only"
 go run ./bench -quick
