@@ -82,50 +82,33 @@ func EncodeTopK(dst, g []float32, k int, mags []float32) {
 		// Keep everything: any threshold below the sanitized floor works.
 		thresh = -2
 	}
-	// Collect in ascending index order: first strictly above the
-	// threshold, then at the threshold until k are chosen. NaNs (mapped
-	// to −1) are only reachable when the threshold itself is −1.
-	s := 0
+	// One ascending pass takes every index strictly above the threshold
+	// and the first k−above at it, so the index words come out sorted.
+	// NaNs (mapped to −1) are only reachable when the threshold itself
+	// is −1.
+	above := 0
+	for _, m := range mags {
+		if m > thresh {
+			above++
+		}
+	}
+	ties, s := k-above, 0
 	for i, v := range g {
-		if sanMag(v) > thresh {
+		m := sanMag(v)
+		if m > thresh || (m == thresh && ties > 0) {
+			if m == thresh {
+				ties--
+			}
 			dst[1+s] = math.Float32frombits(uint32(i))
 			s++
 		}
 	}
-	above := s
-	for i, v := range g {
-		if s == k {
-			break
-		}
-		if sanMag(v) == thresh {
-			dst[1+s] = math.Float32frombits(uint32(i))
-			s++
-		}
-	}
-	// The threshold pass appends after the strict pass, so the index
-	// words are ascending within each pass but not across them; merge by
-	// insertion (both runs are already sorted, k is small relative to n).
-	sortIdxWords(dst[1:1+s], above)
 	dst[0] = math.Float32frombits(uint32(s))
 	for j := 0; j < s; j++ {
 		dst[1+s+j] = g[math.Float32bits(dst[1+j])]
 	}
 	for j := 1 + 2*s; j < len(dst); j++ {
 		dst[j] = 0
-	}
-}
-
-// sortIdxWords merges the two sorted runs [0,split) and [split,len) of
-// bit-cast uint32 index words in place.
-func sortIdxWords(w []float32, split int) {
-	for i := split; i < len(w); i++ {
-		v := math.Float32bits(w[i])
-		j := i
-		for j > 0 && math.Float32bits(w[j-1]) > v {
-			w[j] = w[j-1]
-			j--
-		}
-		w[j] = math.Float32frombits(v)
 	}
 }
 

@@ -1,10 +1,12 @@
 package collective
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
 
+	"repro/internal/mpi"
 	"repro/internal/tensor"
 )
 
@@ -91,6 +93,127 @@ func TestTopKCodecTies(t *testing.T) {
 			t.Fatalf("elem %d: got %v want %v (tie-break must favor low indices)", i, out, want)
 		}
 	}
+}
+
+// TestTopKCodecTiesBelowLargerValues: ties at the threshold sit at low
+// indices and the larger values at high ones, so the encoder must emit
+// indices that are not in selection order still ascending and identical
+// to the sort-based reference.
+func TestTopKCodecTiesBelowLargerValues(t *testing.T) {
+	const n = 1000
+	g := make([]float32, n)
+	for i := range g {
+		g[i] = float32(i%7) - 3 // magnitudes 0..3, tied in long runs
+		if i >= n-100 {
+			g[i] = float32(10 + i%5)
+		}
+	}
+	for _, k := range []int{50, 100, 101, 150, 400, 999} {
+		wire := make([]float32, TopKWords(k))
+		EncodeTopK(wire, g, k, nil)
+		want := refTopK(g, k)
+		if got := int(math.Float32bits(wire[0])); got != k {
+			t.Fatalf("k=%d: count word %d", k, got)
+		}
+		for j, i := range want {
+			if got := int(math.Float32bits(wire[1+j])); got != i {
+				t.Fatalf("k=%d: index word %d is %d, reference %d", k, j, got, i)
+			}
+			if !eqBits(wire[1+k+j], g[i]) {
+				t.Fatalf("k=%d: value word %d is %v, want g[%d]=%v", k, j, wire[1+k+j], i, g[i])
+			}
+		}
+	}
+}
+
+// TestTopKErrorFeedbackTiedReplay replays the tied gradient i%7 through
+// six error-feedback passes at p = 4, ratio 32, 8 MB per rank. Folding
+// the residual back in leaves tens of thousands of threshold ties beside
+// tens of thousands of larger values; every rank's payload must still be
+// a valid top-k with ties broken toward low indices, and no mass may be
+// lost: what the passes reduced plus what the residuals still hold is
+// what the ranks contributed.
+func TestTopKErrorFeedbackTiedReplay(t *testing.T) {
+	const p, n, ratio, passes = 4, 2 << 20, 32, 6
+	k := TopKCount(n, ratio)
+	reduced := make([][]float64, p)
+	w := mpi.NewWorld(p)
+	if err := w.Run(func(c *mpi.Comm) {
+		tk := NewTopK(ratio)
+		buf := make([]float32, n)
+		folded := make([]float32, n)
+		sum := make([]float64, n)
+		for pass := 0; pass < passes; pass++ {
+			resid := tk.residual(buf)
+			for i := range buf {
+				buf[i] = float32(i % 7)
+				folded[i] = buf[i] + resid[i]
+			}
+			if err := tk.Allreduce(c, buf); err != nil {
+				t.Error(err)
+				return
+			}
+			me := TopKWords(k) * c.Rank()
+			if err := validTopK(folded, tk.slots[me:me+TopKWords(k)], k); err != nil {
+				t.Errorf("rank %d pass %d: %v", c.Rank(), pass, err)
+				return
+			}
+			for i, v := range buf {
+				sum[i] += float64(v)
+			}
+		}
+		for i, r := range tk.residual(buf) {
+			sum[i] += float64(r) * p // every rank holds its own, identical residual
+		}
+		reduced[c.Rank()] = sum
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for r := range reduced {
+		for i, v := range reduced[r] {
+			if want := float64(p * passes * (i % 7)); v != want {
+				t.Fatalf("rank %d elem %d: reduced plus residual %v, contributed %v", r, i, v, want)
+			}
+		}
+	}
+}
+
+// validTopK checks payload against the definition of the selection, in
+// one pass over g: k ascending indices whose magnitudes are all at least
+// every unselected magnitude, and at the smallest selected magnitude no
+// unselected index below a selected one.
+func validTopK(g, payload []float32, k int) error {
+	if s := int(math.Float32bits(payload[0])); s != k {
+		return fmt.Errorf("count %d, want %d", s, k)
+	}
+	sel := make([]bool, len(g))
+	thresh := float32(math.Inf(1))
+	for j := 0; j < k; j++ {
+		i := math.Float32bits(payload[1+j])
+		if j > 0 && i <= math.Float32bits(payload[j]) {
+			return fmt.Errorf("index word %d not ascending", j)
+		}
+		if !eqBits(payload[1+k+j], g[i]) {
+			return fmt.Errorf("value word %d is %v, want g[%d]=%v", j, payload[1+k+j], i, g[i])
+		}
+		sel[i] = true
+		thresh = min(thresh, sanMag(g[i]))
+	}
+	lastTie := -1
+	for i, v := range g {
+		switch m := sanMag(v); {
+		case sel[i] && m == thresh:
+			lastTie = i
+		case !sel[i] && m > thresh:
+			return fmt.Errorf("unselected elem %d has magnitude %v above the threshold %v", i, m, thresh)
+		}
+	}
+	for i := 0; i < lastTie; i++ {
+		if !sel[i] && sanMag(g[i]) == thresh {
+			return fmt.Errorf("tie at %d unselected below selected tie %d", i, lastTie)
+		}
+	}
+	return nil
 }
 
 // TestTopKCountPins the k schedule: ⌈n/ratio⌉ clamped to [1, n].

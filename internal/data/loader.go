@@ -3,11 +3,14 @@ package data
 import (
 	"fmt"
 
+	"repro/internal/models"
 	"repro/internal/tensor"
 )
 
 // Batch is one training step's worth of LR inputs and HR targets:
-// LR (B, C, p, p) and HR (B, C, p*scale, p*scale).
+// LR (B, C, p, p) and HR (B, C, p*scale, p*scale). A Batch returned by
+// Loader.Next is valid only until the next call: the loader refills the
+// same tensors and index slice.
 type Batch struct {
 	LR, HR *tensor.Tensor
 	// Indices records which dataset images the patches came from.
@@ -38,12 +41,11 @@ type Loader struct {
 	rng   *tensor.RNG
 	shard []int
 
-	// cache holds the most recently used image pair; EDSR training reuses
-	// each image for several patches, so a tiny cache removes most
-	// generation cost.
-	cacheIdx int
-	cacheLR  *tensor.Tensor
-	cacheHR  *tensor.Tensor
+	// Buffers every Next reuses: the batch it returns, and the HR image
+	// each patch is cut from with the scratch that renders it.
+	batch  Batch
+	hr     *tensor.Tensor
+	canvas canvas
 }
 
 // NewLoader builds a loader over ds for one rank of a data-parallel job.
@@ -54,9 +56,13 @@ func NewLoader(ds *Dataset, cfg LoaderConfig) (*Loader, error) {
 	if cfg.WorldSize < 1 || cfg.Rank < 0 || cfg.Rank >= cfg.WorldSize {
 		return nil, fmt.Errorf("data: invalid rank %d of %d", cfg.Rank, cfg.WorldSize)
 	}
-	if cfg.PatchSize > ds.Config().Height/cfg.Scale || cfg.PatchSize > ds.Config().Width/cfg.Scale {
+	dc := ds.Config()
+	if dc.Height%cfg.Scale != 0 || dc.Width%cfg.Scale != 0 {
+		return nil, fmt.Errorf("data: HR size %dx%d not divisible by scale %d", dc.Height, dc.Width, cfg.Scale)
+	}
+	if cfg.PatchSize > dc.Height/cfg.Scale || cfg.PatchSize > dc.Width/cfg.Scale {
 		return nil, fmt.Errorf("data: patch %d exceeds LR image %dx%d",
-			cfg.PatchSize, ds.Config().Height/cfg.Scale, ds.Config().Width/cfg.Scale)
+			cfg.PatchSize, dc.Height/cfg.Scale, dc.Width/cfg.Scale)
 	}
 	var shard []int
 	for i := cfg.Rank; i < ds.Len(); i += cfg.WorldSize {
@@ -66,12 +72,18 @@ func NewLoader(ds *Dataset, cfg LoaderConfig) (*Loader, error) {
 		return nil, fmt.Errorf("data: rank %d has an empty shard (dataset %d images, world %d)",
 			cfg.Rank, ds.Len(), cfg.WorldSize)
 	}
+	p, s := cfg.PatchSize, cfg.Scale
 	return &Loader{
-		ds:       ds,
-		cfg:      cfg,
-		rng:      tensor.NewRNG(cfg.Seed*2654435761 + uint64(cfg.Rank)*40503 + 17),
-		shard:    shard,
-		cacheIdx: -1,
+		ds:    ds,
+		cfg:   cfg,
+		rng:   tensor.NewRNG(cfg.Seed*2654435761 + uint64(cfg.Rank)*40503 + 17),
+		shard: shard,
+		batch: Batch{
+			LR:      tensor.New(cfg.BatchSize, dc.Channels, p, p),
+			HR:      tensor.New(cfg.BatchSize, dc.Channels, p*s, p*s),
+			Indices: make([]int, cfg.BatchSize),
+		},
+		hr: tensor.New(1, dc.Channels, dc.Height, dc.Width),
 	}, nil
 }
 
@@ -88,32 +100,21 @@ func (l *Loader) SetRNGState(s uint64) { l.rng.SetState(s) }
 // ShardIndices returns a copy of the image indices this rank samples from.
 func (l *Loader) ShardIndices() []int { return append([]int(nil), l.shard...) }
 
-// Next samples the next training batch.
+// Next samples the next training batch into the loader's own buffers;
+// the returned Batch is valid only until the next call.
 func (l *Loader) Next() Batch {
-	p, s, c := l.cfg.PatchSize, l.cfg.Scale, l.ds.Config().Channels
-	lrB := tensor.New(l.cfg.BatchSize, c, p, p)
-	hrB := tensor.New(l.cfg.BatchSize, c, p*s, p*s)
-	idxs := make([]int, l.cfg.BatchSize)
-	for b := 0; b < l.cfg.BatchSize; b++ {
+	p, s := l.cfg.PatchSize, l.cfg.Scale
+	for b := range l.batch.Indices {
 		img := l.shard[l.rng.Intn(len(l.shard))]
-		idxs[b] = img
-		lr, hr := l.pair(img)
-		lh, lw := lr.Dim(2), lr.Dim(3)
-		py := l.rng.Intn(lh - p + 1)
-		px := l.rng.Intn(lw - p + 1)
-		copyPatch(lrB, b, lr, py, px, p)
-		copyPatch(hrB, b, hr, py*s, px*s, p*s)
+		l.batch.Indices[b] = img
+		l.ds.render(img, l.hr.Data(), &l.canvas)
+		lr := models.BicubicDownscale(l.hr, s)
+		py := l.rng.Intn(lr.Dim(2) - p + 1)
+		px := l.rng.Intn(lr.Dim(3) - p + 1)
+		copyPatch(l.batch.LR, b, lr, py, px, p)
+		copyPatch(l.batch.HR, b, l.hr, py*s, px*s, p*s)
 	}
-	return Batch{LR: lrB, HR: hrB, Indices: idxs}
-}
-
-func (l *Loader) pair(img int) (lr, hr *tensor.Tensor) {
-	if l.cacheIdx == img {
-		return l.cacheLR, l.cacheHR
-	}
-	lr, hr = l.ds.Pair(img, l.cfg.Scale)
-	l.cacheIdx, l.cacheLR, l.cacheHR = img, lr, hr
-	return lr, hr
+	return l.batch
 }
 
 // copyPatch copies a p×p window at (py, px) from src (1,C,H,W) into batch

@@ -71,6 +71,9 @@ const (
 	CatAllreduceFP16
 	CatAllreduceTopK
 	CatAllreduceHier
+	// CatData covers drawing one training batch from the data loader,
+	// just before the step span it feeds.
+	CatData
 
 	numCategories
 )
@@ -96,6 +99,7 @@ var catNames = [numCategories]string{
 	"allreduce/fp16",
 	"allreduce/topk",
 	"allreduce/hier",
+	"data",
 }
 
 // String returns the category's canonical op name.
@@ -169,6 +173,8 @@ func (c Category) Group() string {
 		return "engine"
 	case CatCheckpoint, CatRestart:
 		return "lifecycle"
+	case CatData:
+		return "data"
 	}
 	return "other"
 }

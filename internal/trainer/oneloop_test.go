@@ -2,6 +2,7 @@ package trainer
 
 import (
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/models"
@@ -123,6 +124,56 @@ func TestSessionIsTheTracedLoop(t *testing.T) {
 	// allocations between the two ReadMemStats calls.
 	if got := sess.Stats().AllocsPerStep; got > single.AllocsPerStep+1 {
 		t.Fatalf("session allocates %.1f/step at steady state, TrainSingle %.1f", got, single.AllocsPerStep)
+	}
+}
+
+// TestDataSpanPrecedesEachStep: every rank records one data span per step
+// on its main track, and each ends before the step span it feeds begins,
+// so a trace separates loading from the step it precedes.
+func TestDataSpanPrecedesEachStep(t *testing.T) {
+	cfg := fastConfig()
+	cfg.Steps = 3
+	// The engine negotiates back to back (CycleTime 0) and records every
+	// round: at GOMAXPROCS=1 these three steps record up to ~115 000
+	// negotiation spans per rank, which would overflow the default
+	// 64 Ki-span recorder before the last step span.
+	cfg.Trace = trace.NewSession(1 << 20)
+	if _, _, err := TrainDistributed(cfg, 2); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		if n := cfg.Trace.Recorder(r).Dropped(); n > 0 {
+			t.Fatalf("rank %d recorder dropped %d spans", r, n)
+		}
+	}
+	ranks := cfg.Trace.Timeline().Ranks
+	if len(ranks) != 2 {
+		t.Fatalf("%d traced ranks, want 2", len(ranks))
+	}
+	for _, rt := range ranks {
+		var data, steps []trace.Span
+		for _, s := range rt.Spans {
+			switch {
+			case s.Track != trace.TrackMain:
+			case s.Cat == trace.CatData:
+				data = append(data, s)
+			case s.Cat == trace.CatStep:
+				steps = append(steps, s)
+			}
+		}
+		if len(data) != 3 || len(steps) != 3 {
+			t.Fatalf("rank %d: %d data and %d step spans, want 3 each", rt.Rank, len(data), len(steps))
+		}
+		sort.Slice(data, func(i, j int) bool { return data[i].Start < data[j].Start })
+		sort.Slice(steps, func(i, j int) bool { return steps[i].Start < steps[j].Start })
+		for i := range data {
+			if end := data[i].Start + data[i].Dur; end > steps[i].Start {
+				t.Fatalf("rank %d step %d: data span ends at %d, after its step began at %d", rt.Rank, i, end, steps[i].Start)
+			}
+			if i > 0 && data[i].Start < steps[i-1].Start+steps[i-1].Dur {
+				t.Fatalf("rank %d step %d: data span starts inside the previous step", rt.Rank, i)
+			}
+		}
 	}
 }
 

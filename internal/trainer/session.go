@@ -220,7 +220,9 @@ func (s *Session) RunSteps(n int) (float64, error) {
 			schedule.Apply(s.Opt, s.Step)
 		}
 		stepStart := time.Now() // the loader is part of the step a caller waits for
+		dataSpan := rec.Now()
 		batch := s.Loader.Next()
+		rec.Emit(trace.CatData, trace.TrackMain, dataSpan, 0)
 		stepSpan := rec.Now()
 		s.Opt.ZeroGrad()
 		fwdSpan := rec.Now()
